@@ -1,0 +1,266 @@
+"""Command-line interface: structural checks, schedules, and mating runs.
+
+Exit codes: 0 success, 2 structural gate failure, 3 numeric failure (branch
+loss or divergence), 64 usage.  Artifacts of one ``mate`` run land in a
+directory named by the run id, a digest of the full configuration, so reruns
+with the same configuration overwrite their own artifacts byte for byte.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+from .angles import Angle
+from .combinatorics import (
+    base_schedule,
+    is_jordan,
+    fsr_valid,
+    jordan_defect,
+    postcritical_count,
+    pullback_schedule,
+)
+from .engine import (
+    DiscreteCurve,
+    IterateOptions,
+    RunReport,
+    iterate,
+    structural_gates,
+)
+from .errors import AngleError, QuadmateError, StructuralError
+from .lamination import mateable_detail
+from .ratmap import SpherePoint
+from .render import render_views
+from .serialize import dump_curve, format_report
+
+EXIT_OK = 0
+EXIT_STRUCTURAL = 2
+EXIT_NUMERIC = 3
+EXIT_USAGE = 64
+
+_DUMP_ENV = "QUADMATE_DUMP_DIR"
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with 2 on bad arguments; the contract reserves 2 for
+    # structural failures, so usage problems are remapped
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _parse_preperiodic(text: str, name: str) -> Angle:
+    try:
+        a = Angle.parse(text)
+    except AngleError as exc:
+        raise AngleError(f"{name}: {exc}") from exc
+    if not a.is_preperiodic():
+        raise AngleError(
+            f"{name} = {a} is periodic under doubling; "
+            "a strictly preperiodic angle (even denominator) is required"
+        )
+    return a
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _sig12(z: SpherePoint) -> str:
+    if z is None:
+        return "inf"
+    re, im = ("%.12g" % (z.real + 0.0)), ("%.12g" % abs(z.imag))
+    sign = "-" if z.imag < 0 else "+"
+    return f"{re} {sign} {im}i"
+
+
+def cmd_check(args) -> int:
+    alpha = _parse_preperiodic(args.alpha, "alpha")
+    beta = _parse_preperiodic(args.beta, "beta")
+    ok, la, lb = mateable_detail(alpha, beta)
+    print(f"alpha (black): {alpha}")
+    print(f"beta  (red):   {beta}")
+    print(f"mateable: {_yes(ok)}")
+    print(f"limb of alpha: {la if la is not None else 'none'}")
+    print(f"limb of beta:  {lb if lb is not None else 'none'}")
+    jordan = is_jordan(alpha, beta)
+    print(f"is_jordan: {_yes(jordan)}")
+    if not jordan:
+        names = ", ".join(
+            str(sa) for sa in sorted(jordan_defect(alpha, beta), key=lambda x: x.sort_key())
+        )
+        print(f"pinching class: {{{names}}}")
+    valid = fsr_valid(alpha, beta)
+    print(f"fsr_valid: {_yes(valid)}")
+    count = postcritical_count(alpha, beta)
+    print(f"postcritical points: {count}")
+    if count <= 4:
+        print(
+            "warning: postcritical set has at most 4 points, the orbifold may "
+            "be parabolic and convergence is not guaranteed"
+        )
+    try:
+        base_schedule(alpha, beta)
+    except StructuralError as exc:
+        print(f"schedule: rejected ({exc})")
+        return EXIT_STRUCTURAL
+    return EXIT_OK if ok and jordan and valid else EXIT_STRUCTURAL
+
+
+def cmd_schedule(args) -> int:
+    alpha = _parse_preperiodic(args.alpha, "alpha")
+    beta = _parse_preperiodic(args.beta, "beta")
+    if args.level < 0:
+        raise AngleError("--level must be nonnegative")
+    try:
+        s = base_schedule(alpha, beta)
+        for _ in range(args.level):
+            s = pullback_schedule(s, alpha, beta)
+    except StructuralError as exc:
+        print(f"structural error: {exc}", file=sys.stderr)
+        return EXIT_STRUCTURAL
+    print(f"level {s.level} schedule for ({alpha}, {beta}): {len(s.marks)} marks")
+    print(f"black critical value at parameter {s.black_value}")
+    print(f"red critical value at parameter {s.red_value}")
+    width = max(len(str(m.parameter)) for m in s.marks)
+    for m in s.marks:
+        print(f"  {str(m.parameter):>{width}}  {m.label()}")
+    return EXIT_OK
+
+
+def _run_id(alpha: Angle, beta: Angle, opts: IterateOptions) -> str:
+    canon = f"quadmate mate 1|{alpha}|{beta}|" + "|".join(
+        f"{k}={opts.as_dict()[k]!r}" for k in sorted(opts.as_dict())
+    )
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _write_artifacts(
+    out_dir: Path,
+    run_id: str,
+    report: RunReport,
+    curves: list[DiscreteCurve],
+    render: bool,
+):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.txt").write_text(format_report(report, run_id))
+    for curve, rec in zip(curves, report.records):
+        (out_dir / f"curve-{rec.n:03d}.txt").write_text(
+            dump_curve(curve, rec.u, rec.v)
+        )
+    if report.final_curve is not None:
+        last = report.records[-1] if report.records else None
+        u = last.u if last else None
+        v = last.v if last else None
+        (out_dir / "curve-final.txt").write_text(dump_curve(report.final_curve, u, v))
+        if render:
+            for name, svg in render_views(report.final_curve).items():
+                (out_dir / f"final-{name}.svg").write_text(svg)
+
+
+def cmd_mate(args) -> int:
+    alpha = _parse_preperiodic(args.alpha, "alpha")
+    beta = _parse_preperiodic(args.beta, "beta")
+    opts = IterateOptions(
+        max_iters=args.iters,
+        tol=args.tol,
+        samples_per_arc=args.samples,
+        budget=args.budget,
+        workers=args.workers,
+    )
+    for name, value in (
+        ("--iters", opts.max_iters),
+        ("--samples", opts.samples_per_arc),
+        ("--budget", opts.budget),
+        ("--workers", opts.workers),
+    ):
+        if value <= 0:
+            raise AngleError(f"{name} must be positive, got {value}")
+    if opts.tol < 0:
+        raise AngleError(f"--tol must be nonnegative, got {opts.tol}")
+    dump_dir = args.dump or os.environ.get(_DUMP_ENV)
+    if args.render and dump_dir is None:
+        raise AngleError(
+            f"--render needs a dump directory (--dump or ${_DUMP_ENV})"
+        )
+
+    run_id = _run_id(alpha, beta, opts)
+    curves: list[DiscreteCurve] = []
+    hook = curves.append if dump_dir is not None else None
+    report = iterate(alpha, beta, opts, curve_hook=hook)
+
+    if dump_dir is not None:
+        _write_artifacts(Path(dump_dir) / run_id, run_id, report, curves, args.render)
+
+    print(f"run-id: {run_id}")
+    for w in report.warnings:
+        print(f"warning: {w}")
+    if report.status == "structural-error":
+        print(f"structural error: {report.message}", file=sys.stderr)
+        return EXIT_STRUCTURAL
+    iters = report.records[-1].n if report.records else 0
+    print(f"status: {report.status} after {iters} iterations")
+    if report.message:
+        print(f"detail: {report.message}")
+    if report.records:
+        last = report.records[-1]
+        print(f"final u = {_sig12(last.u)}")
+        print(f"final v = {_sig12(last.v)}")
+    if report.status == "diverged":
+        return EXIT_NUMERIC
+    return EXIT_OK
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(
+        prog="quadmate",
+        description=(
+            "Approximate the geometric mating of two critically preperiodic "
+            "quadratic polynomials by iterated curve pullback"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_check = sub.add_parser("check", help="run the structural gates only")
+    p_check.add_argument("alpha", help="black external angle, e.g. 1/4")
+    p_check.add_argument("beta", help="red external angle, e.g. 1/8")
+    p_check.set_defaults(func=cmd_check)
+
+    p_sched = sub.add_parser("schedule", help="print the mark schedule at a level")
+    p_sched.add_argument("alpha")
+    p_sched.add_argument("beta")
+    p_sched.add_argument("--level", type=int, default=0)
+    p_sched.set_defaults(func=cmd_schedule)
+
+    p_mate = sub.add_parser("mate", help="run the pullback iteration")
+    p_mate.add_argument("alpha")
+    p_mate.add_argument("beta")
+    p_mate.add_argument("--iters", type=int, default=200, help="iteration cap")
+    p_mate.add_argument("--tol", type=float, default=1e-9, help="convergence threshold")
+    p_mate.add_argument("--samples", type=int, default=64, help="initial samples per arc")
+    p_mate.add_argument("--budget", type=int, default=4096, help="sample cap per curve")
+    p_mate.add_argument("--workers", type=int, default=1, help="threads for arc lifting")
+    p_mate.add_argument("--dump", default=None, help="directory for run artifacts")
+    p_mate.add_argument("--render", action="store_true", help="write SVG figures")
+    p_mate.set_defaults(func=cmd_mate)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except AngleError as exc:
+        print(f"quadmate: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except QuadmateError as exc:
+        print(f"quadmate: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,785 @@
+"""Discrete pseudo-equator curves and the pullback iteration.
+
+The curve at level n is a closed polyline on the sphere sampled at exact
+rational parameters.  One iteration reads the embedded critical values (u, v),
+builds the normalized quadratic F, and lifts the curve through F: parameter
+tau on the child maps to parameter 2 tau on the parent, so the child traverses
+two lifted copies of the parent loop.  Each arc between marked samples has
+exactly two lifts, pointwise negatives of each other; arcs are lifted
+independently and stitched by endpoint continuity.  Where the curve passes a
+critical point both continuations agree at the junction, so the sign of each
+critical-to-critical chain is chosen to keep the marked points close to their
+previous embedding (the pseudo-isotopy rel the marked set that defines the
+pseudo-equator); the local handedness rule is the fallback when that score is
+ambiguous.
+"""
+
+from __future__ import annotations
+
+import cmath
+import heapq
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .angles import Angle, reduce
+from .combinatorics import (
+    Mark,
+    MarkKind,
+    Schedule,
+    Side,
+    base_schedule,
+    fsr_valid,
+    jordan_defect,
+    postcritical_count,
+    pullback_schedule,
+)
+from .errors import BranchTrackingError, StructuralError
+from .lamination import mateable_detail
+from .ratmap import (
+    NormalizedQuadratic,
+    SpherePoint,
+    chordal,
+    from_critical_values,
+    from_sphere,
+    stereographic,
+)
+
+ZERO = Angle(0, 1)
+
+# how distinguishable the two branch candidates must be before a step is
+# accepted without refinement
+_AMBIGUITY_RATIO = 0.8
+_MAX_REFINE = 48
+# largest phase step of the squared lift accepted by the winding rule; above
+# this a hidden half-turn around the branch point is too likely, so refine
+_WINDING_GUARD = 2.5
+_STITCH_TOL = 1e-6
+_CRITICAL_COLLISION_TOL = 1e-13
+_MARK_WINDOW = 8  # samples on each side of a mark that prune leaves alone
+
+# two distinct postcritical points this close mean the embedding has left
+# moduli space (the classic divergence mode of parabolic orbifolds)
+_COLLAPSE_TOL = 1e-8
+
+# a chain's sign is accepted on marked-point continuity alone when the better
+# candidate moves every marked point at most this far and beats the other
+# candidate by the ratio; otherwise the local handedness read decides
+_ISOTOPY_DECISIVE = 1.0
+_ISOTOPY_RATIO = 0.5
+
+
+@dataclass(frozen=True)
+class CurveSample:
+    parameter: Angle
+    position: SpherePoint
+    mark: Mark | None = None
+
+
+@dataclass(frozen=True)
+class DiscreteCurve:
+    """Closed polyline on the sphere; samples ascend by parameter from 0."""
+
+    samples: tuple[CurveSample, ...]
+    level: int
+    schedule: Schedule
+
+    def sample_at(self, t: Angle) -> CurveSample:
+        lo, hi = 0, len(self.samples)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.samples[mid].parameter < t:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < len(self.samples) and self.samples[lo].parameter == t:
+            return self.samples[lo]
+        raise KeyError(t)
+
+    def marked(self) -> tuple[CurveSample, ...]:
+        return tuple(s for s in self.samples if s.mark is not None)
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    n: int
+    u: SpherePoint
+    v: SpherePoint
+    samples_before: int
+    samples_after: int
+    increment: float | None  # chordal step from the previous (u, v); None at n=0
+
+
+@dataclass
+class RunReport:
+    alpha: Angle
+    beta: Angle
+    status: str  # converged | max-iterations | diverged | structural-error
+    records: list[IterationRecord] = field(default_factory=list)
+    message: str = ""
+    warnings: list[str] = field(default_factory=list)
+    options: dict = field(default_factory=dict)
+    final_curve: DiscreteCurve | None = None
+
+    @property
+    def uv_sequence(self) -> list[tuple[SpherePoint, SpherePoint]]:
+        return [(r.u, r.v) for r in self.records]
+
+
+@dataclass(frozen=True)
+class IterateOptions:
+    max_iters: int = 200
+    tol: float = 1e-9
+    samples_per_arc: int = 64
+    budget: int = 4096
+    prune_tol: float = 1e-6
+    workers: int = 1
+
+    def as_dict(self) -> dict:
+        return {
+            "max_iters": self.max_iters,
+            "tol": self.tol,
+            "samples_per_arc": self.samples_per_arc,
+            "budget": self.budget,
+            "prune_tol": self.prune_tol,
+            "workers": self.workers,
+        }
+
+
+def _unit_circle(t: Fraction) -> complex:
+    x = 2.0 * math.pi * float(t)
+    return complex(math.cos(x), math.sin(x))
+
+
+def init_embedding(s: Schedule, samples_per_arc: int) -> DiscreteCurve:
+    """The level-0 curve: the unit circle, parameter t at e^{2 pi i t}."""
+    if s.level != 0:
+        raise ValueError("initial embedding requires a level-0 schedule")
+    samples: list[CurveSample] = []
+    marks = list(s.marks)
+    for k, m in enumerate(marks):
+        t0 = m.parameter.fraction
+        t1 = marks[(k + 1) % len(marks)].parameter.fraction
+        if t1 <= t0:
+            t1 += 1
+        pos = 1.0 + 0.0j if m.parameter == ZERO else _unit_circle(t0)
+        samples.append(CurveSample(m.parameter, pos, m))
+        for j in range(1, samples_per_arc + 1):
+            t = t0 + (t1 - t0) * j / (samples_per_arc + 1)
+            t %= 1
+            samples.append(CurveSample(reduce(t.numerator, t.denominator), _unit_circle(t)))
+    samples.sort(key=lambda smp: smp.parameter)
+    return DiscreteCurve(samples=tuple(samples), level=0, schedule=s)
+
+
+def read_critical_values(c: DiscreteCurve) -> tuple[SpherePoint, SpherePoint]:
+    """The embedded critical values: positions at the two value parameters."""
+    u = c.sample_at(c.schedule.black_value).position
+    v = c.sample_at(c.schedule.red_value).position
+    if chordal(u, v) < _CRITICAL_COLLISION_TOL:
+        raise StructuralError(
+            "critical value collision",
+            f"u and v coincide at {u!r} on the level-{c.level} curve",
+        )
+    return u, v
+
+
+# ---------------------------------------------------------------------------
+# lifting
+
+
+def _neg(z: SpherePoint) -> SpherePoint:
+    return None if z is None else -z
+
+
+def _slerp_mid(a: SpherePoint, b: SpherePoint) -> tuple[bool, SpherePoint]:
+    """Spherical midpoint; the flag is False for antipodal (meaningless) input.
+
+    A True flag with a None point is a genuine midpoint at infinity.
+    """
+    pa, pb = stereographic(a), stereographic(b)
+    s = tuple(x + y for x, y in zip(pa, pb))
+    n = math.sqrt(sum(x * x for x in s))
+    if n < 1e-12:
+        return False, None
+    return True, from_sphere(tuple(x / n for x in s))
+
+
+def _lift_arc(
+    F: NormalizedQuadratic, entries: list[tuple[Fraction, SpherePoint]]
+) -> list[tuple[Fraction, SpherePoint]]:
+    """One continuous lift of an arc, anchored at the principal root.
+
+    Refinement inserts spherical midpoints of the parent polyline whenever the
+    two branch candidates are close to equidistant from the previous lifted
+    point; inserted samples stay in the output.
+    """
+    out: list[tuple[Fraction, SpherePoint]] = []
+    t0, z0 = entries[0]
+    prev = F.preimages(z0)[0]
+    out.append((t0, prev))
+    for t1, z1 in entries[1:]:
+        prev = _lift_step(F, out, out[-1][0], out[-1][1], t1, z1, _MAX_REFINE)
+    return out
+
+
+def _winding_choice(prev, plus, minus, guard: float = _WINDING_GUARD) -> SpherePoint:
+    """Branch continuation by the phase of the squared step.
+
+    When the lift skims a branch point the two candidates are almost
+    equidistant from the previous sample forever, but the square of the lift
+    is branch-free: as long as its phase step stays clearly short of a half
+    turn, the continuous square root is ``prev * sqrt(z1^2 / prev^2)``.
+    Returns None when a hidden half turn cannot be ruled out.
+    """
+    if prev is None or plus is None or minus is None:
+        return None
+    z0_sq, z1_sq = prev * prev, plus * plus
+    if z0_sq == 0 or z1_sq == 0 or not (cmath.isfinite(z0_sq) and cmath.isfinite(z1_sq)):
+        return None
+    r = z1_sq / z0_sq
+    if r == 0 or not cmath.isfinite(r) or abs(cmath.phase(r)) > guard:
+        return None
+    w = prev * cmath.sqrt(r)
+    return plus if abs(plus - w) <= abs(minus - w) else minus
+
+
+def _lift_step(F, out, t0, prev, t1, z1, depth) -> SpherePoint:
+    plus, minus = F.preimages(z1)
+    if chordal(plus, minus) < 1e-12:
+        # critical-value passage: the two branches meet, no choice to make
+        out.append((t1, plus))
+        return plus
+    if chordal(prev, 0.0 + 0.0j) < 1e-9 or chordal(prev, None) < 1e-9:
+        # leaving a critical point: both continuations are equidistant, and
+        # the stitcher's sign choice overrides whichever we take
+        out.append((t1, plus))
+        return plus
+    dp, dm = chordal(plus, prev), chordal(minus, prev)
+    near, far = min(dp, dm), max(dp, dm)
+    if far > 0 and near / far <= _AMBIGUITY_RATIO:
+        chosen = plus if dp <= dm else minus
+        out.append((t1, chosen))
+        return chosen
+    if depth == 0:
+        # refinement exhausted: a skim past a branch point keeps the ratio
+        # ambiguous at every scale, but the winding rule still resolves it;
+        # at this point the step is tiny, so trust the phase outright
+        chosen = _winding_choice(prev, plus, minus, guard=math.pi + 1.0)
+        if chosen is None:
+            raise BranchTrackingError(reduce(t1.numerator, t1.denominator))
+        out.append((t1, chosen))
+        return chosen
+    # reconstruct the parent position at t0 to bisect against
+    z0 = F.eval(prev)
+    ok, zm = _slerp_mid(z0, z1)
+    if not ok:
+        raise BranchTrackingError(reduce(t1.numerator, t1.denominator))
+    tm = (t0 + t1) / 2
+    mid = _lift_step(F, out, t0, prev, tm, zm, depth - 1)
+    return _lift_step(F, out, tm, mid, t1, z1, depth - 1)
+
+
+def _densify(
+    far: tuple[Fraction, SpherePoint], near: tuple[Fraction, SpherePoint], steps: int = 8
+) -> list[tuple[Fraction, SpherePoint]]:
+    """Samples accumulating geometrically from ``far`` toward ``near``."""
+    out: list[tuple[Fraction, SpherePoint]] = []
+    t0, z0 = far
+    t1, _ = near
+    cur = far
+    for _ in range(steps):
+        ok, zm = _slerp_mid(cur[1], near[1])
+        if not ok:
+            break
+        cur = ((cur[0] + t1) / 2, zm)
+        out.append(cur)
+    return out
+
+
+def _triple(d, w, n) -> float:
+    cx = d[1] * w[2] - d[2] * w[1]
+    cy = d[2] * w[0] - d[0] * w[2]
+    cz = d[0] * w[1] - d[1] * w[0]
+    return cx * n[0] + cy * n[1] + cz * n[2]
+
+
+def _vec(a, b) -> tuple[float, float, float]:
+    return (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+
+
+def pullback_curve(
+    c: DiscreteCurve,
+    F: NormalizedQuadratic,
+    s_next: Schedule,
+    workers: int = 1,
+) -> DiscreteCurve:
+    """Lift the level-n curve through F onto the level n+1 schedule.
+
+    The child traverses the parent loop twice (parameter doubling).  Arcs
+    between marked samples are lifted independently, then stitched: ordinary
+    boundaries fix signs by endpoint matching, while each chain between
+    critical passages takes the global sign that keeps its marked points next
+    to their embedding on the parent curve.  When that comparison is
+    ambiguous the handedness rule decides locally (fork right at the black
+    critical point, left at the red, oriented by the outward normal).
+    """
+    mark_of = {m.parameter: m for m in s_next.marks}
+    parent = list(c.samples)
+
+    # child traversal: two laps over the parent, parameters halved
+    traversal: list[tuple[Fraction, SpherePoint, Mark | None]] = []
+    for lap in (0, 1):
+        for smp in parent:
+            tau = (smp.parameter.fraction + lap) / 2
+            ang = reduce(tau.numerator, tau.denominator)
+            traversal.append((tau, smp.position, mark_of.get(ang)))
+
+    boundaries = [i for i, (_, _, m) in enumerate(traversal) if m is not None]
+    if not boundaries or traversal[boundaries[0]][0] != 0:
+        raise AssertionError("child traversal lost its anchor mark")
+    arcs: list[list[tuple[Fraction, SpherePoint]]] = []
+    arc_marks: list[Mark] = []
+    for k, start in enumerate(boundaries):
+        end = boundaries[(k + 1) % len(boundaries)]
+        if end > start:
+            chunk = traversal[start : end + 1]
+        else:  # wrap: close the loop back through the anchor
+            chunk = traversal[start:] + [
+                (traversal[0][0] + 1, traversal[0][1], traversal[0][2])
+            ]
+        entries = [(t, z) for t, z, _ in chunk]
+        head = traversal[start][2]
+        tail = traversal[end][2]
+        # densify toward critical passages so fork directions are read close
+        # to the critical point, where the two lifts separate at right angles
+        if tail.kind is MarkKind.CRITICAL_POINT and len(entries) >= 2:
+            entries = entries[:-1] + _densify(entries[-2], entries[-1]) + [entries[-1]]
+        if head.kind is MarkKind.CRITICAL_POINT and len(entries) >= 2:
+            mids = _densify(entries[1], entries[0])
+            mids.reverse()
+            entries = [entries[0]] + mids + entries[1:]
+        arcs.append(entries)
+        arc_marks.append(head)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            lifts = list(pool.map(lambda a: _lift_arc(F, a), arcs))
+    else:
+        lifts = [_lift_arc(F, a) for a in arcs]
+
+    crit_pos = {Side.BLACK: 0.0 + 0.0j, Side.RED: None}
+    base_params = {t for t, _ in s_next.base_points}
+
+    # chains: a new one starts at the anchor and at every critical passage,
+    # where endpoint matching cannot tell the two continuations apart
+    chain_starts = [
+        k for k, m in enumerate(arc_marks)
+        if k == 0 or m.kind is MarkKind.CRITICAL_POINT
+    ]
+    chain_stops = chain_starts[1:] + [len(lifts)]
+
+    # within a chain, continuity pins every sign relative to the leading arc
+    rel: list[int] = [1] * len(lifts)
+    for start, stop in zip(chain_starts, chain_stops):
+        mark = arc_marks[start]
+        if mark.kind is MarkKind.CRITICAL_POINT and chordal(
+            lifts[start][0][1], crit_pos[mark.color]
+        ) > _STITCH_TOL:
+            raise BranchTrackingError(mark.parameter, "lift misses the critical point")
+        for k in range(start + 1, stop):
+            prev_end = lifts[k - 1][-1][1]
+            if rel[k - 1] == -1:
+                prev_end = _neg(prev_end)
+            dp = chordal(lifts[k][0][1], prev_end)
+            dm = chordal(_neg(lifts[k][0][1]), prev_end)
+            if min(dp, dm) > _STITCH_TOL:
+                raise BranchTrackingError(arc_marks[k].parameter, "arc endpoints fail to meet")
+            rel[k] = 1 if dp <= dm else -1
+
+    def chain_score(ci: int, lead: int) -> float:
+        # worst marked-point displacement from the parent embedding; the wrap
+        # chain additionally must land back on the anchor
+        score, seen = 0.0, False
+        for k in range(chain_starts[ci], chain_stops[ci]):
+            t = arc_marks[k].parameter
+            if t in base_params:
+                pos = lifts[k][0][1] if lead * rel[k] == 1 else _neg(lifts[k][0][1])
+                score = max(score, chordal(pos, c.sample_at(t).position))
+                seen = True
+        if chain_stops[ci] == len(lifts):
+            tail = lifts[-1][-1][1] if lead * rel[-1] == 1 else _neg(lifts[-1][-1][1])
+            score = max(score, chordal(tail, 1.0 + 0.0j))
+            seen = True
+        return score if seen else math.inf
+
+    signs: list[int] = [0] * len(lifts)
+    for ci, (start, stop) in enumerate(zip(chain_starts, chain_stops)):
+        sp, sm = chain_score(ci, 1), chain_score(ci, -1)
+        if min(sp, sm) <= _ISOTOPY_DECISIVE and min(sp, sm) <= _ISOTOPY_RATIO * max(sp, sm):
+            lead = 1 if sp <= sm else -1
+        elif ci == 0:
+            lead = 1 if chordal(lifts[0][0][1], 1.0 + 0.0j) <= chordal(
+                _neg(lifts[0][0][1]), 1.0 + 0.0j
+            ) else -1
+        else:
+            mark = arc_marks[start]
+            cp = crit_pos[mark.color]
+            n_hat = stereographic(cp)
+            back = next(
+                (p if signs[start - 1] == 1 else _neg(p)
+                 for _, p in reversed(lifts[start - 1])
+                 if chordal(p, cp) > 1e-9),
+                None,
+            )
+            ahead = next((p for _, p in lifts[start][1:] if chordal(p, cp) > 1e-9), None)
+            if back is None or ahead is None:
+                raise BranchTrackingError(mark.parameter, "curve stalls at a critical point")
+            d = _vec(stereographic(back), n_hat)
+            w = _vec(n_hat, stereographic(ahead))
+            trip = _triple(d, w, n_hat)
+            want_negative = mark.color is Side.BLACK  # fork right at 0, left at infinity
+            if trip == 0.0:
+                raise BranchTrackingError(mark.parameter, "handedness test degenerate")
+            lead = 1 if (trip < 0) == want_negative else -1
+        for k in range(start, stop):
+            signs[k] = lead * rel[k]
+
+    chosen = [
+        lift if signs[k] == 1 else [(t, _neg(p)) for t, p in lift]
+        for k, lift in enumerate(lifts)
+    ]
+    closing = chosen[-1][-1][1]
+    if chordal(closing, 1.0 + 0.0j) > _STITCH_TOL:
+        raise BranchTrackingError(ZERO, "lifted curve fails to close at the anchor")
+
+    samples: list[CurveSample] = []
+    for k, picked in enumerate(chosen):
+        for j, (t, p) in enumerate(picked):
+            if j == len(picked) - 1:
+                continue  # shared with the next arc's head
+            tau = t % 1
+            ang = reduce(tau.numerator, tau.denominator)
+            samples.append(CurveSample(ang, p, mark_of.get(ang)))
+    samples.sort(key=lambda smp: smp.parameter)
+    return DiscreteCurve(samples=tuple(samples), level=s_next.level, schedule=s_next)
+
+
+def relabel(c_next: DiscreteCurve) -> dict[int, SpherePoint]:
+    """The embedding of the postcritical set read off the lifted curve."""
+    return {
+        pid: c_next.sample_at(t).position for t, pid in c_next.schedule.base_points
+    }
+
+
+# ---------------------------------------------------------------------------
+# pruning
+
+
+def _closest_on_triangle(p, a, b, c) -> tuple[float, float, float]:
+    # closest-point-on-triangle (Ericson); all args are R^3 tuples
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
+
+    def dot(x, y):
+        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+    ab, ac, ap = sub(b, a), sub(c, a), sub(p, a)
+    d1, d2 = dot(ab, ap), dot(ac, ap)
+    if d1 <= 0 and d2 <= 0:
+        return a
+    bp = sub(p, b)
+    d3, d4 = dot(ab, bp), dot(ac, bp)
+    if d3 >= 0 and d4 <= d3:
+        return b
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0 and d1 >= 0 and d3 <= 0:
+        if d1 == d3:  # a and b coincide to roundoff
+            return a
+        t = d1 / (d1 - d3)
+        return tuple(a[i] + t * ab[i] for i in range(3))
+    cp = sub(p, c)
+    d5, d6 = dot(ab, cp), dot(ac, cp)
+    if d6 >= 0 and d5 <= d6:
+        return c
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0 and d2 >= 0 and d6 <= 0:
+        if d2 == d6:  # a and c coincide to roundoff
+            return a
+        t = d2 / (d2 - d6)
+        return tuple(a[i] + t * ac[i] for i in range(3))
+    va = d3 * d6 - d5 * d4
+    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
+        edge = (d4 - d3) + (d5 - d6)
+        if edge == 0:  # b and c coincide to roundoff
+            return b
+        t = (d4 - d3) / edge
+        return tuple(b[i] + t * (c[i] - b[i]) for i in range(3))
+    total = va + vb + vc
+    if total == 0:  # degenerate sliver; every vertex is as close as any
+        return a
+    denom = 1.0 / total
+    s, t = vb * denom, vc * denom
+    return tuple(a[i] + ab[i] * s + ac[i] * t for i in range(3))
+
+
+def _point_triangle_dist(p, a, b, c) -> float:
+    return math.dist(p, _closest_on_triangle(p, a, b, c))
+
+
+def _point_segment_dist(p, a, b) -> float:
+    ab = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    ap = (p[0] - a[0], p[1] - a[1], p[2] - a[2])
+    den = ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2]
+    if den == 0:
+        return math.dist(p, a)
+    t = (ap[0] * ab[0] + ap[1] * ab[1] + ap[2] * ab[2]) / den
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    return math.dist(p, (a[0] + t * ab[0], a[1] + t * ab[1], a[2] + t * ab[2]))
+
+
+def _sweep_clearance(g, a, b, c) -> float:
+    """Clearance between a guarded sphere point and the swept triangle.
+
+    The polyline lives on the sphere, so the region swept by replacing sample
+    ``b`` with the segment a-c is the radial projection of the flat triangle;
+    measuring against the projection keeps the test honest for long chords,
+    whose flat triangles sag well inside the sphere.
+    """
+    q = _closest_on_triangle(g, a, b, c)
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2])
+    if n < 0.5:
+        return 0.0  # chord passes near the center: projection subtends a huge arc
+    return math.dist(g, tuple(x / n for x in q))
+
+
+def _deviation(prev, cur, nxt) -> float:
+    """How far sample ``cur`` sticks out from the chord of its neighbors."""
+    return _point_segment_dist(cur, prev, nxt)
+
+
+def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
+    """Drop plumbing samples while the polyline stays clear of the marked set.
+
+    Samples are removed greedily by smallest deviation from the local chord;
+    a removal is refused when the swept triangle comes within ``tol`` of an
+    embedded postcritical position, so the homotopy type rel those points is
+    preserved.  Marked samples are never removed, and neither is a short
+    window of neighbors around each mark: the next pullback reads fork
+    directions from the samples adjacent to the critical-value marks, so
+    those must stay genuine rather than interpolated.
+    """
+    marked_count = sum(1 for s in c.samples if s.mark is not None)
+    if budget < marked_count:
+        raise ValueError(f"budget {budget} below the marked-sample count {marked_count}")
+    n = len(c.samples)
+    if n <= budget:
+        return c
+
+    pts = [stereographic(s.position) for s in c.samples]
+    guarded = [
+        pts[i]
+        for i, s in enumerate(c.samples)
+        if s.mark is not None and s.mark.point_id is not None
+    ]
+    alive = [True] * n
+    prv = [(i - 1) % n for i in range(n)]
+    nxt = [(i + 1) % n for i in range(n)]
+    version = [0] * n
+    protected = [c.samples[i].mark is not None for i in range(n)]
+    for i in range(n):
+        if c.samples[i].mark is not None:
+            for off in range(1, _MARK_WINDOW + 1):
+                protected[(i - off) % n] = True
+                protected[(i + off) % n] = True
+    removable = [not protected[i] for i in range(n)]
+
+    heap: list[tuple[float, int, int]] = []
+    for i in range(n):
+        if removable[i]:
+            heapq.heappush(heap, (_deviation(pts[prv[i]], pts[i], pts[nxt[i]]), i, 0))
+
+    count = n
+    while count > budget and heap:
+        dev, i, ver = heapq.heappop(heap)
+        if not alive[i] or ver != version[i] or not removable[i]:
+            continue
+        a, b = prv[i], nxt[i]
+        fresh = _deviation(pts[a], pts[i], pts[b])
+        if fresh != dev:
+            heapq.heappush(heap, (fresh, i, ver))
+            continue
+        # cheap reject: the swept patch stays inside the spherical hull of the
+        # triangle, itself within twice the longest edge from the apex
+        reach = 2.0 * max(math.dist(pts[a], pts[i]), math.dist(pts[i], pts[b])) + tol
+        blocked = any(
+            math.dist(g, pts[i]) <= reach
+            and _sweep_clearance(g, pts[a], pts[i], pts[b]) <= tol
+            for g in guarded
+        )
+        if blocked:
+            removable[i] = False  # re-enabled if a neighbor is removed
+            continue
+        alive[i] = False
+        count -= 1
+        nxt[a], prv[b] = b, a
+        for j in (a, b):
+            version[j] += 1
+            if not protected[j]:
+                removable[j] = True
+                heapq.heappush(
+                    heap, (_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j])
+                )
+
+    kept = tuple(s for i, s in enumerate(c.samples) if alive[i])
+    return DiscreteCurve(samples=kept, level=c.level, schedule=c.schedule)
+
+
+# ---------------------------------------------------------------------------
+# the iteration
+
+
+def _rebase(c: DiscreteCurve, s0: Schedule) -> DiscreteCurve:
+    """Forget plumbing and critical marks, keeping the persistent base marks.
+
+    The postcritical parameters recur at every level, so the next pullback
+    rebuilds critical-point marks from the base schedule alone; this keeps the
+    schedule size constant across iterations.
+    """
+    base = dict(s0.base_points)
+    marks = []
+    samples = []
+    for smp in c.samples:
+        t = smp.parameter
+        if t in base:
+            m = Mark(t, MarkKind.POSTCRITICAL, point_id=base[t])
+        elif t == ZERO:
+            m = Mark(t, MarkKind.ANCHOR)
+        else:
+            m = None
+        if m is not None:
+            marks.append(m)
+        samples.append(CurveSample(t, smp.position, m))
+    sched = Schedule(
+        marks=tuple(marks),
+        level=c.level,
+        base_points=s0.base_points,
+        black_value=s0.black_value,
+        red_value=s0.red_value,
+    )
+    return DiscreteCurve(samples=tuple(samples), level=c.level, schedule=sched)
+
+
+def _collision(embedded: dict[int, SpherePoint]) -> tuple[int, int] | None:
+    """The first pair of distinct postcritical points that have collided."""
+    ids = sorted(embedded)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if chordal(embedded[a], embedded[b]) < _COLLAPSE_TOL:
+                return a, b
+    return None
+
+
+def structural_gates(alpha: Angle, beta: Angle) -> str | None:
+    """The failure reason of the first failed gate, or None when all pass."""
+    if not alpha.is_preperiodic() or not beta.is_preperiodic():
+        return "periodic angle: both inputs must be strictly preperiodic"
+    ok, la, lb = mateable_detail(alpha, beta)
+    if not ok:
+        return f"conjugate limbs: {alpha} lies in limb {la}, {beta} in limb {lb}"
+    defect = jordan_defect(alpha, beta)
+    if defect is not None:
+        names = ", ".join(str(sa) for sa in sorted(defect, key=lambda x: x.sort_key()))
+        return f"pinched curve: identification class {{{names}}} joins distinct curve points"
+    if not fsr_valid(alpha, beta):
+        return "subdivision failure: an identification appears one level too late"
+    return None
+
+
+def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), curve_hook=None) -> RunReport:
+    """Run the full pullback iteration and report the (u_n, v_n) sequence.
+
+    Stops when the chordal step of (u, v) drops below ``opts.tol``, when
+    ``opts.max_iters`` is exhausted, or when the step has not improved its
+    running minimum for 20 consecutive iterations (divergence; expected for
+    parabolic-orbifold inputs).
+    """
+    report = RunReport(alpha=alpha, beta=beta, status="", options=opts.as_dict())
+    reason = structural_gates(alpha, beta)
+    if reason is not None:
+        report.status = "structural-error"
+        report.message = reason
+        return report
+    if postcritical_count(alpha, beta) <= 4:
+        report.warnings.append(
+            "postcritical set has at most 4 points: orbifold may be parabolic, "
+            "convergence is not guaranteed"
+        )
+
+    try:
+        s0 = base_schedule(alpha, beta)
+        curve = init_embedding(s0, opts.samples_per_arc)
+        u, v = read_critical_values(curve)
+        report.records.append(
+            IterationRecord(0, u, v, len(curve.samples), len(curve.samples), None)
+        )
+        if curve_hook is not None:
+            curve_hook(curve)
+
+        best = math.inf
+        stale = 0
+        for n in range(1, opts.max_iters + 1):
+            try:
+                F = from_critical_values(u, v)
+            except ValueError as exc:
+                raise StructuralError("critical value collision", str(exc)) from exc
+            s_next = pullback_schedule(curve.schedule, alpha, beta)
+            lifted = pullback_curve(curve, F, s_next, workers=opts.workers)
+            before = len(lifted.samples)
+            lifted = prune(lifted, opts.budget, opts.prune_tol)
+            curve = _rebase(lifted, s0)
+            u1, v1 = read_critical_values(curve)
+            collided = _collision(relabel(curve))
+            if collided is not None:
+                report.records.append(
+                    IterationRecord(n, u1, v1, before, len(curve.samples), None)
+                )
+                report.status = "diverged"
+                report.message = (
+                    f"postcritical points {collided[0]} and {collided[1]} collided: "
+                    "the embedding degenerated instead of converging"
+                )
+                break
+            inc = chordal(u, u1) + chordal(v, v1)
+            report.records.append(
+                IterationRecord(n, u1, v1, before, len(curve.samples), inc)
+            )
+            if curve_hook is not None:
+                curve_hook(curve)
+            u, v = u1, v1
+            if inc < opts.tol:
+                report.status = "converged"
+                break
+            if inc < best:
+                best = inc
+                stale = 0
+            else:
+                stale += 1
+                if stale >= 20:
+                    report.status = "diverged"
+                    report.message = (
+                        f"no progress below {best:.3e} for 20 consecutive iterations"
+                    )
+                    break
+        else:
+            report.status = "max-iterations"
+    except StructuralError as exc:
+        report.status = "structural-error"
+        report.message = str(exc)
+        return report
+    except BranchTrackingError as exc:
+        report.status = "diverged"
+        report.message = f"numeric failure: {exc}"
+    report.final_curve = curve
+    return report

@@ -1,0 +1,276 @@
+"""Which external angles land together, and limb membership in parameter space.
+
+For a strictly preperiodic characteristic angle ``theta`` the Julia set is a
+dendrite and two rational external rays land at the same point exactly when
+their angles have identical symbolic itineraries with respect to the critical
+leaf ``{theta/2, theta/2 + 1/2}``.  Angles whose orbit hits a leaf endpoint get
+the boundary symbol (they land on the critical point's backward orbit).
+
+The leaf pullback here is the usual invariant-lamination construction: each
+generation consists of the two non-crossing preimage leaves of the previous
+generation, sorted by the side-of-critical-leaf test.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .angles import Angle, cyclic_between, in_open_arc, reduce
+from .errors import AngleError
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """An unordered chord of the circle, stored with ``a < b``."""
+
+    a: Angle
+    b: Angle
+
+    def __post_init__(self):
+        if self.a == self.b:
+            raise AngleError("leaf endpoints must be distinct")
+        if self.a > self.b:
+            lo, hi = self.b, self.a
+            object.__setattr__(self, "a", lo)
+            object.__setattr__(self, "b", hi)
+
+    def crosses(self, other: "Leaf") -> bool:
+        """Strict interleaving of endpoint pairs; shared endpoints do not cross."""
+        if {self.a, self.b} & {other.a, other.b}:
+            return False
+        inside = in_open_arc(other.a, self.a, self.b)
+        return inside != in_open_arc(other.b, self.a, self.b)
+
+    def endpoints(self) -> frozenset[Angle]:
+        return frozenset((self.a, self.b))
+
+
+def _require_preperiodic(theta: Angle):
+    if not theta.is_preperiodic():
+        raise AngleError(f"angle {theta} is periodic; a strictly preperiodic angle is required")
+
+
+def critical_leaf(theta: Angle) -> Leaf:
+    """The chord joining the two doubling preimages of ``theta``."""
+    _require_preperiodic(theta)
+    lo, hi = theta.halves()
+    return Leaf(lo, hi)
+
+
+def side(theta: Angle, t: Angle) -> int | None:
+    """Which side of the critical leaf ``t`` falls on.
+
+    Returns 1 for the open arc containing ``theta`` itself, 0 for the opposite
+    arc, and None when ``t`` is an endpoint of the critical leaf.
+    """
+    lo, hi = theta.halves()
+    if t == lo or t == hi:
+        return None
+    # the counterclockwise arc (theta/2, theta/2 + 1/2) always contains theta
+    return 1 if cyclic_between(lo, t, hi) else 0
+
+
+def same_landing(theta: Angle, s: Angle, t: Angle) -> bool:
+    """True iff the rays at angles ``s`` and ``t`` land at the same Julia-set point.
+
+    Exact itinerary comparison: the pair orbit under simultaneous doubling is
+    eventually periodic, so equality of the two symbol streams is decidable in
+    finitely many steps.
+    """
+    _require_preperiodic(theta)
+    if s == t:
+        return True
+    seen: set[tuple[Angle, Angle]] = set()
+    pair = (s, t)
+    while pair not in seen:
+        seen.add(pair)
+        x, y = pair
+        if side(theta, x) != side(theta, y):
+            return False
+        pair = (x.double(), y.double())
+    return True
+
+
+def colanding_class(theta: Angle, t: Angle) -> frozenset[Angle]:
+    """All rational angles whose rays land at the same point as the ray at ``t``.
+
+    The rays at an (eventually) periodic point share the point's preperiod and
+    ray period, so the class is found by matching itineraries among the
+    periodic angles of the orbit's cycle length and lifting backwards along
+    ``t``'s symbol prefix, one preimage per symbol.
+    """
+    _require_preperiodic(theta)
+    info = t.orbit_info()
+    ell, p = info.preperiod, info.period
+    periodic_start = info.orbit[ell]
+
+    # rays landing with the periodic point: match among angles of period dividing p
+    denom = (1 << p) - 1
+    tail = frozenset(
+        cand
+        for k in range(denom)
+        for cand in [reduce(k, denom)]
+        if same_landing(theta, periodic_start, cand)
+    )
+
+    current = tail
+    for k in range(ell - 1, -1, -1):
+        want = side(theta, info.orbit[k])
+        lifted = set()
+        for a in current:
+            for half in a.halves():
+                if want is None:
+                    if side(theta, half) is None:
+                        lifted.add(half)
+                elif side(theta, half) == want:
+                    lifted.add(half)
+        current = frozenset(lifted)
+    if t not in current:
+        raise AssertionError(f"co-landing class of {t} failed to contain it")
+    return current
+
+
+@dataclass(frozen=True)
+class LandingPartition:
+    """Co-landing classes of a finite angle set (fibers of the landing map)."""
+
+    classes: tuple[frozenset[Angle], ...]
+
+    def class_of(self, t: Angle) -> frozenset[Angle]:
+        for c in self.classes:
+            if t in c:
+                return c
+        raise KeyError(t)
+
+
+def landing_partition(theta: Angle, angles: frozenset[Angle] | set[Angle]) -> LandingPartition:
+    """Partition ``angles`` into co-landing classes for the ``theta`` polynomial."""
+    _require_preperiodic(theta)
+    remaining = sorted(angles)
+    classes: list[frozenset[Angle]] = []
+    while remaining:
+        head = remaining[0]
+        cls = frozenset(a for a in remaining if same_landing(theta, head, a))
+        classes.append(cls)
+        remaining = [a for a in remaining if a not in cls]
+    return LandingPartition(classes=tuple(classes))
+
+
+def pullback_lamination(theta: Angle, depth: int) -> set[Leaf]:
+    """The finite-depth invariant lamination generated by the critical leaf.
+
+    Generation 1 is the critical leaf; each leaf at generation k < depth
+    contributes its two non-crossing preimage leaves, paired by the
+    side-of-critical-leaf test.
+    """
+    _require_preperiodic(theta)
+    if depth <= 0:
+        raise AngleError("depth must be positive")
+    crit = critical_leaf(theta)
+    leaves = {crit}
+    generation = [crit]
+    for _ in range(depth - 1):
+        next_gen = []
+        for leaf in generation:
+            by_side: dict[int, list[Angle]] = {0: [], 1: []}
+            for endpoint in (leaf.a, leaf.b):
+                for half in endpoint.halves():
+                    s = side(theta, half)
+                    if s is None:
+                        raise AssertionError(
+                            f"leaf endpoint {endpoint} lifted onto the critical leaf"
+                        )
+                    by_side[s].append(half)
+            for s in (0, 1):
+                pair = by_side[s]
+                if len(pair) != 2:
+                    raise AssertionError("preimage endpoints not split evenly by the critical leaf")
+                next_gen.append(Leaf(pair[0], pair[1]))
+        leaves.update(next_gen)
+        generation = next_gen
+    return leaves
+
+
+@dataclass(frozen=True)
+class LimbId:
+    """A limb of the Mandelbrot set, named by its internal rotation number."""
+
+    rotation: Angle
+
+    def __post_init__(self):
+        if self.rotation.num == 0 or self.rotation.den < 2:
+            raise AngleError(f"invalid limb rotation {self.rotation}")
+
+    def conjugate(self) -> "LimbId":
+        return LimbId(self.rotation.mirror())
+
+    def __str__(self) -> str:
+        return str(self.rotation)
+
+
+@lru_cache(maxsize=None)
+def wake(limb: LimbId) -> tuple[Angle, Angle]:
+    """The pair of period-q angles bounding the p/q-limb wake.
+
+    Brute force over angles with denominator ``2^q - 1``: find the unique
+    period-q cycle whose circular order is rigid rotation by p/q, then take
+    the narrowest gap between circularly adjacent cycle members (the gap
+    through angle 0 is never a wake).
+    """
+    p, q = limb.rotation.num, limb.rotation.den
+    modulus = (1 << q) - 1
+    seen: set[int] = set()
+    for k in range(1, modulus):
+        if k in seen:
+            continue
+        cycle = [k]
+        cur = (2 * k) % modulus
+        while cur != k:
+            cycle.append(cur)
+            cur = (2 * cur) % modulus
+        seen.update(cycle)
+        if len(cycle) != q:
+            continue
+        ordered = sorted(cycle)
+        position = {v: i for i, v in enumerate(ordered)}
+        shifts = {(position[(2 * v) % modulus] - position[v]) % q for v in cycle}
+        if shifts != {p}:
+            continue
+        gaps = [(ordered[i + 1] - ordered[i], i) for i in range(q - 1)]
+        _, i = min(gaps)
+        return (reduce(ordered[i], modulus), reduce(ordered[i + 1], modulus))
+    raise AssertionError(f"no rotation cycle found for {limb.rotation}")
+
+
+def limb_of(theta: Angle, max_period: int | None = None) -> LimbId | None:
+    """The smallest-period limb whose wake strictly contains ``theta``.
+
+    The search period is bounded by ``1 + bit length of theta's denominator``
+    (at least 16); deeper limbs are irrelevant at desk-scale inputs.
+    """
+    _require_preperiodic(theta)
+    if max_period is None:
+        max_period = max(16, theta.den.bit_length() + 1)
+    for q in range(2, max_period + 1):
+        for p in range(1, q):
+            if reduce(p, q).den != q:
+                continue
+            lo, hi = wake(LimbId(reduce(p, q)))
+            if in_open_arc(theta, lo, hi):
+                return LimbId(reduce(p, q))
+    return None
+
+
+def mateable_detail(alpha: Angle, beta: Angle) -> tuple[bool, LimbId | None, LimbId | None]:
+    """The conjugate-limb test together with the two limb assignments."""
+    _require_preperiodic(alpha)
+    _require_preperiodic(beta)
+    la, lb = limb_of(alpha), limb_of(beta)
+    ok = la is None or lb is None or lb != la.conjugate()
+    return ok, la, lb
+
+
+def mateable(alpha: Angle, beta: Angle) -> bool:
+    """The conjugate-limb obstruction test for existence of the geometric mating."""
+    return mateable_detail(alpha, beta)[0]
