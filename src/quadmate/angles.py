@@ -17,7 +17,7 @@ from .errors import AngleError
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Angle:
     """A reduced rational ``num/den`` with ``0 <= num/den < 1``.
 
@@ -70,11 +70,17 @@ class Angle:
         """The image ``2a mod 1`` under the angle-doubling map."""
         return reduce(2 * self.num, self.den)
 
+    def half(self, lap: int) -> "Angle":
+        """The preimage ``(a + lap)/2`` under doubling, for ``lap`` 0 or 1."""
+        num = self.num + lap * self.den
+        # num/den is reduced, so num/(2 den) can only lose a factor 2
+        if num % 2:
+            return Angle(num, 2 * self.den)
+        return Angle(num // 2, self.den)
+
     def halves(self) -> tuple["Angle", "Angle"]:
         """The two preimages under doubling, the first in ``[0, 1/2)``."""
-        lo = reduce(self.num, 2 * self.den)
-        hi = reduce(self.num + self.den, 2 * self.den)
-        return (lo, hi) if lo < hi else (hi, lo)
+        return self.half(0), self.half(1)
 
     def mirror(self) -> "Angle":
         """The reflection ``1 - a mod 1`` (opposing-angle identification)."""
@@ -119,6 +125,16 @@ def reduce(p: int, q: int) -> Angle:
     p %= q
     g = gcd(p, q)
     return Angle(p // g, q // g)
+
+
+def midpoint(a: Angle, b: Angle) -> Angle:
+    """The midpoint of the shorter arc from ``a`` to ``b`` (counterclockwise on a tie)."""
+    fa = a.fraction
+    step = (b.fraction - fa) % 1
+    if step > Fraction(1, 2):
+        step -= 1
+    m = (fa + step / 2) % 1
+    return Angle(m.numerator, m.denominator)
 
 
 def cyclic_between(a: Angle, b: Angle, c: Angle) -> bool:

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .angles import Angle
@@ -132,8 +133,9 @@ def cmd_schedule(args) -> int:
 
 
 def _run_id(alpha: Angle, beta: Angle, opts: IterateOptions) -> str:
+    fields = asdict(opts)
     canon = f"quadmate mate 1|{alpha}|{beta}|" + "|".join(
-        f"{k}={opts.as_dict()[k]!r}" for k in sorted(opts.as_dict())
+        f"{k}={fields[k]!r}" for k in sorted(fields)
     )
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -179,8 +181,16 @@ def cmd_mate(args) -> int:
     ):
         if value <= 0:
             raise AngleError(f"{name} must be positive, got {value}")
-    if opts.tol < 0:
+    if not opts.tol >= 0:  # also refuses nan
         raise AngleError(f"--tol must be nonnegative, got {opts.tol}")
+    try:  # each lifted curve keeps both halves of every level-0 mark
+        floor = 2 * len(base_schedule(alpha, beta).marks)
+    except StructuralError:
+        floor = 0  # the gates in iterate name the failure
+    if opts.budget < floor:
+        raise AngleError(
+            f"--budget must be at least {floor} for ({alpha}, {beta}), got {opts.budget}"
+        )
     dump_dir = args.dump or os.environ.get(_DUMP_ENV)
     if args.render and dump_dir is None:
         raise AngleError(

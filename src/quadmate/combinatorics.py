@@ -352,9 +352,6 @@ class Schedule:
                 return m
         raise KeyError(t)
 
-    def postcritical_marks(self) -> tuple[Mark, ...]:
-        return tuple(m for m in self.marks if m.point_id is not None)
-
     def critical_marks(self, color: Side) -> tuple[Mark, ...]:
         return tuple(
             m for m in self.marks if m.kind is MarkKind.CRITICAL_POINT and m.color is color

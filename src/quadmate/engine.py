@@ -28,10 +28,10 @@ import cmath
 import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .angles import Angle, reduce
+from .angles import Angle, midpoint, reduce
 from .combinatorics import (
     Mark,
     MarkKind,
@@ -96,7 +96,7 @@ _FINISH_FALLS = 7
 _FINISH_BELOW = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveSample:
     parameter: Angle
     position: SpherePoint
@@ -160,10 +160,6 @@ class RunReport:
     options: dict = field(default_factory=dict)
     final_curve: DiscreteCurve | None = None
 
-    @property
-    def uv_sequence(self) -> list[tuple[SpherePoint, SpherePoint]]:
-        return [(r.u, r.v) for r in self.records]
-
 
 @dataclass(frozen=True)
 class IterateOptions:
@@ -173,16 +169,6 @@ class IterateOptions:
     budget: int = 4096
     prune_tol: float = 1e-6
     workers: int = 1
-
-    def as_dict(self) -> dict:
-        return {
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "samples_per_arc": self.samples_per_arc,
-            "budget": self.budget,
-            "prune_tol": self.prune_tol,
-            "workers": self.workers,
-        }
 
 
 def _unit_circle(t: Fraction) -> complex:
@@ -245,20 +231,18 @@ def _slerp_mid(a: SpherePoint, b: SpherePoint) -> tuple[bool, SpherePoint]:
 
 
 def _lift_arc(
-    F: NormalizedQuadratic, entries: list[tuple[Fraction, SpherePoint]]
-) -> list[tuple[Fraction, SpherePoint]]:
+    F: NormalizedQuadratic, entries: list[tuple[Angle, SpherePoint]]
+) -> list[tuple[Angle, SpherePoint]]:
     """One continuous lift of an arc, anchored at the principal root.
 
     Refinement inserts spherical midpoints of the parent polyline whenever the
     two branch candidates are close to equidistant from the previous lifted
     point; inserted samples stay in the output.
     """
-    out: list[tuple[Fraction, SpherePoint]] = []
     t0, z0 = entries[0]
-    prev = F.preimages(z0)[0]
-    out.append((t0, prev))
+    out = [(t0, F.preimages(z0)[0])]
     for t1, z1 in entries[1:]:
-        prev = _lift_step(F, out, out[-1][0], out[-1][1], t1, z1, _MAX_REFINE)
+        _lift_step(F, out, out[-1][0], out[-1][1], t1, z1, _MAX_REFINE)
     return out
 
 
@@ -306,32 +290,31 @@ def _lift_step(F, out, t0, prev, t1, z1, depth) -> SpherePoint:
         # at this point the step is tiny, so trust the phase outright
         chosen = _winding_choice(prev, plus, minus, guard=math.pi + 1.0)
         if chosen is None:
-            raise BranchTrackingError(reduce(t1.numerator, t1.denominator))
+            raise BranchTrackingError(t1)
         out.append((t1, chosen))
         return chosen
     # reconstruct the parent position at t0 to bisect against
     z0 = F.eval(prev)
     ok, zm = _slerp_mid(z0, z1)
     if not ok:
-        raise BranchTrackingError(reduce(t1.numerator, t1.denominator))
-    tm = (t0 + t1) / 2
+        raise BranchTrackingError(t1)
+    tm = midpoint(t0, t1)
     mid = _lift_step(F, out, t0, prev, tm, zm, depth - 1)
     return _lift_step(F, out, tm, mid, t1, z1, depth - 1)
 
 
 def _densify(
-    far: tuple[Fraction, SpherePoint], near: tuple[Fraction, SpherePoint], steps: int = 8
-) -> list[tuple[Fraction, SpherePoint]]:
+    far: tuple[Angle, SpherePoint], near: tuple[Angle, SpherePoint], steps: int = 8
+) -> list[tuple[Angle, SpherePoint]]:
     """Samples accumulating geometrically from ``far`` toward ``near``."""
-    out: list[tuple[Fraction, SpherePoint]] = []
-    t0, z0 = far
-    t1, _ = near
+    out: list[tuple[Angle, SpherePoint]] = []
+    t1, z1 = near
     cur = far
     for _ in range(steps):
-        ok, zm = _slerp_mid(cur[1], near[1])
+        ok, zm = _slerp_mid(cur[1], z1)
         if not ok:
             break
-        cur = ((cur[0] + t1) / 2, zm)
+        cur = (midpoint(cur[0], t1), zm)
         out.append(cur)
     return out
 
@@ -362,31 +345,30 @@ def pullback_curve(
     to their embedding on the parent curve.  When that comparison is
     ambiguous the handedness rule decides locally (fork right at the black
     critical point, left at the red, oriented by the outward normal).
+
+    Parameters stay exact angles: a parent sample at ``a`` reappears at
+    ``a.half(0)`` and ``a.half(1)``, and refinement inserts arc midpoints.
     """
     mark_of = {m.parameter: m for m in s_next.marks}
-    parent = list(c.samples)
 
     # child traversal: two laps over the parent, parameters halved
-    traversal: list[tuple[Fraction, SpherePoint, Mark | None]] = []
+    traversal: list[tuple[Angle, SpherePoint, Mark | None]] = []
     for lap in (0, 1):
-        for smp in parent:
-            tau = (smp.parameter.fraction + lap) / 2
-            ang = reduce(tau.numerator, tau.denominator)
-            traversal.append((tau, smp.position, mark_of.get(ang)))
+        for smp in c.samples:
+            tau = smp.parameter.half(lap)
+            traversal.append((tau, smp.position, mark_of.get(tau)))
 
     boundaries = [i for i, (_, _, m) in enumerate(traversal) if m is not None]
-    if not boundaries or traversal[boundaries[0]][0] != 0:
+    if not boundaries or traversal[boundaries[0]][0] != ZERO:
         raise AssertionError("child traversal lost its anchor mark")
-    arcs: list[list[tuple[Fraction, SpherePoint]]] = []
+    arcs: list[list[tuple[Angle, SpherePoint]]] = []
     arc_marks: list[Mark] = []
     for k, start in enumerate(boundaries):
         end = boundaries[(k + 1) % len(boundaries)]
         if end > start:
             chunk = traversal[start : end + 1]
         else:  # wrap: close the loop back through the anchor
-            chunk = traversal[start:] + [
-                (traversal[0][0] + 1, traversal[0][1], traversal[0][2])
-            ]
+            chunk = traversal[start:] + traversal[:1]
         entries = [(t, z) for t, z, _ in chunk]
         head = traversal[start][2]
         tail = traversal[end][2]
@@ -492,14 +474,10 @@ def pullback_curve(
     if chordal(closing, 1.0 + 0.0j) > _STITCH_TOL:
         raise BranchTrackingError(ZERO, "lifted curve fails to close at the anchor")
 
-    samples: list[CurveSample] = []
-    for k, picked in enumerate(chosen):
-        for j, (t, p) in enumerate(picked):
-            if j == len(picked) - 1:
-                continue  # shared with the next arc's head
-            tau = t % 1
-            ang = reduce(tau.numerator, tau.denominator)
-            samples.append(CurveSample(ang, p, mark_of.get(ang)))
+    # an arc's last entry is shared with the next arc's head
+    samples = [
+        CurveSample(t, p, mark_of.get(t)) for picked in chosen for t, p in picked[:-1]
+    ]
     samples.sort(key=lambda smp: smp.parameter)
     return DiscreteCurve(samples=tuple(samples), level=s_next.level, schedule=s_next)
 
@@ -562,10 +540,6 @@ def _closest_on_triangle(p, a, b, c) -> tuple[float, float, float]:
     return tuple(a[i] + ab[i] * s + ac[i] * t for i in range(3))
 
 
-def _point_triangle_dist(p, a, b, c) -> float:
-    return math.dist(p, _closest_on_triangle(p, a, b, c))
-
-
 def _point_segment_dist(p, a, b) -> float:
     ab = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
     ap = (p[0] - a[0], p[1] - a[1], p[2] - a[2])
@@ -607,6 +581,9 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     window of neighbors around each mark: the next pullback reads fork
     directions from the samples adjacent to the critical-value marks, so
     those must stay genuine rather than interpolated.
+
+    A heap entry whose version is current holds its sample's exact deviation,
+    since a sample's neighbors change only together with its version.
     """
     marked_count = sum(1 for s in c.samples if s.mark is not None)
     if budget < marked_count:
@@ -640,14 +617,10 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
 
     count = n
     while count > budget and heap:
-        dev, i, ver = heapq.heappop(heap)
+        _, i, ver = heapq.heappop(heap)
         if not alive[i] or ver != version[i] or not removable[i]:
             continue
         a, b = prv[i], nxt[i]
-        fresh = _deviation(pts[a], pts[i], pts[b])
-        if fresh != dev:
-            heapq.heappush(heap, (fresh, i, ver))
-            continue
         # cheap reject: the swept patch stays inside the spherical hull of the
         # triangle, itself within twice the longest edge from the apex
         reach = 2.0 * max(math.dist(pts[a], pts[i]), math.dist(pts[i], pts[b])) + tol
@@ -698,7 +671,9 @@ def _rebase(c: DiscreteCurve, s0: Schedule) -> DiscreteCurve:
             m = None
         if m is not None:
             marks.append(m)
-        samples.append(CurveSample(t, smp.position, m))
+        samples.append(
+            smp if m is None and smp.mark is None else CurveSample(t, smp.position, m)
+        )
     sched = Schedule(
         marks=tuple(marks),
         level=c.level,
@@ -781,7 +756,7 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
     receives the curve of each record as it is added, except the record of a
     collision.
     """
-    report = RunReport(alpha=alpha, beta=beta, status="", options=opts.as_dict())
+    report = RunReport(alpha=alpha, beta=beta, status="", options=asdict(opts))
     reason = structural_gates(alpha, beta)
     if reason is not None:
         report.status = "structural-error"

@@ -79,6 +79,17 @@ class TestMate:
         assert main(["mate", "1/4", "1/8", "--budget", "-5"]) == EXIT_USAGE
         assert main(["mate", "1/4", "1/8", "--render"]) == EXIT_USAGE
 
+    def test_budget_below_marks_is_usage_error(self, capsys):
+        # the lifted (1/4, 1/8) curve carries 10 marks
+        assert main(["mate", "1/4", "1/8", "--budget", "3"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--budget must be at least 10" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_nan_tolerance_is_usage_error(self, capsys):
+        assert main(["mate", "1/4", "1/8", "--tol", "nan"]) == EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
+
     def test_dump_artifacts(self, tmp_path, capsys):
         code = main(
             ["mate", "1/4", "1/8", "--iters", "2", "--tol", "0",

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from quadmate.angles import Angle, reduce
+from quadmate.angles import Angle, midpoint, reduce
 from quadmate.combinatorics import (
     Mark,
     MarkKind,
@@ -28,6 +30,25 @@ from quadmate.errors import StructuralError
 from quadmate.ratmap import chordal, from_critical_values
 
 A14, A18 = Angle(1, 4), Angle(1, 8)
+
+# curve parameters: dyadic denominators grow one bit per level, and base
+# parameters bring odd factors
+angle = st.builds(
+    lambda p, k, odd: reduce(p, odd << k),
+    st.integers(min_value=0, max_value=2**130),
+    st.integers(min_value=0, max_value=120),
+    st.sampled_from([1, 3, 5, 7, 9, 15, 21]),
+)
+# a signed step shorter than half a turn
+step = st.builds(
+    lambda p, q: Fraction(p, q),
+    st.integers(min_value=-(2**62), max_value=2**62),
+    st.integers(min_value=2**63 + 1, max_value=2**64),
+)
+
+
+def _angle_of(f: Fraction) -> Angle:
+    return reduce(f.numerator, f.denominator)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +168,36 @@ class TestPullbackCurve:
         at_inf = sum(1 for m in c1.marked() if m.position is None)
         assert at_zero == 2
         assert at_inf == 2
+
+
+class TestParameterArithmetic:
+    @given(angle, st.sampled_from([0, 1]))
+    def test_half_matches_fractions(self, a, lap):
+        assert a.half(lap) == _angle_of((a.fraction + lap) / 2)
+
+    @given(angle, step)
+    def test_midpoint_is_the_average_either_way(self, a, d):
+        b = _angle_of(a.fraction + d)
+        mid = _angle_of(a.fraction + d / 2)
+        assert midpoint(a, b) == mid
+        assert midpoint(b, a) == mid
+
+    @given(step.map(lambda d: abs(d) / 2), step.map(lambda d: abs(d) / 2))
+    def test_midpoint_across_zero(self, x, y):
+        below, above = _angle_of(-x), _angle_of(y)
+        mid = _angle_of((y - x) / 2)
+        assert midpoint(below, above) == mid
+        assert midpoint(above, below) == mid
+
+    def test_child_parameters_ascend(self, ex2_level1):
+        _, _, c1 = ex2_level1
+        u, v = read_critical_values(c1)
+        s2 = pullback_schedule(c1.schedule, A14, A18)
+        c2 = pullback_curve(c1, from_critical_values(u, v), s2)
+        for c in (c1, c2):
+            params = [smp.parameter for smp in c.samples]
+            assert all(type(t) is Angle for t in params)
+            assert all(a < b for a, b in zip(params, params[1:]))
 
 
 class TestPrune:
