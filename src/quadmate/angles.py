@@ -73,10 +73,11 @@ class Angle:
     def half(self, lap: int) -> "Angle":
         """The preimage ``(a + lap)/2`` under doubling, for ``lap`` 0 or 1."""
         num = self.num + lap * self.den
-        # num/den is reduced, so num/(2 den) can only lose a factor 2
+        # num/den is reduced, so num/(2 den) can only lose a factor 2 and the
+        # result is canonical without the gcd check of __post_init__
         if num % 2:
-            return Angle(num, 2 * self.den)
-        return Angle(num // 2, self.den)
+            return _canonical(num, 2 * self.den)
+        return _canonical(num // 2, self.den)
 
     def halves(self) -> tuple["Angle", "Angle"]:
         """The two preimages under doubling, the first in ``[0, 1/2)``."""
@@ -114,6 +115,14 @@ class OrbitInfo:
     def distinct(self) -> list[Angle]:
         """The orbit without the trailing repeat."""
         return self.orbit[: self.preperiod + self.period]
+
+
+def _canonical(num: int, den: int) -> Angle:
+    """An ``Angle`` built without validation, for ``num/den`` known to be canonical."""
+    a = object.__new__(Angle)
+    object.__setattr__(a, "num", num)
+    object.__setattr__(a, "den", den)
+    return a
 
 
 def reduce(p: int, q: int) -> Angle:

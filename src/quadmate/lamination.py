@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .angles import Angle, cyclic_between, in_open_arc, reduce
+from .angles import Angle, in_open_arc, reduce
 from .errors import AngleError
 
 
@@ -64,11 +64,22 @@ def side(theta: Angle, t: Angle) -> int | None:
     Returns 1 for the open arc containing ``theta`` itself, 0 for the opposite
     arc, and None when ``t`` is an endpoint of the critical leaf.
     """
-    lo, hi = theta.halves()
-    if t == lo or t == hi:
+    return _side(theta.num, theta.den, t.num, t.den)
+
+
+def _side(tn: int, td: int, num: int, den: int) -> int | None:
+    """:func:`side` for ``theta = tn/td`` and ``t = num/den``, in integers.
+
+    The leaf joins theta/2 and theta/2 + 1/2, and theta/2 lies in [0, 1/2), so
+    ``t`` is on theta's side exactly when theta < 2t < theta + 1; equality
+    means a leaf endpoint.  ``num/den`` need not be reduced.
+    """
+    twice = 2 * td * num
+    lo = tn * den
+    hi = lo + td * den
+    if twice == lo or twice == hi:
         return None
-    # the counterclockwise arc (theta/2, theta/2 + 1/2) always contains theta
-    return 1 if cyclic_between(lo, t, hi) else 0
+    return 1 if lo < twice < hi else 0
 
 
 def same_landing(theta: Angle, s: Angle, t: Angle) -> bool:
@@ -96,25 +107,16 @@ def colanding_class(theta: Angle, t: Angle) -> frozenset[Angle]:
     """All rational angles whose rays land at the same point as the ray at ``t``.
 
     The rays at an (eventually) periodic point share the point's preperiod and
-    ray period, so the class is found by matching itineraries among the
-    periodic angles of the orbit's cycle length and lifting backwards along
-    ``t``'s symbol prefix, one preimage per symbol.
+    ray period p.  The rays at the periodic point of ``t``'s orbit are the
+    angles k/(2^p - 1) with its itinerary, found by :func:`_periodic_class`, a
+    digit search that visits a few prefixes per digit instead of all 2^p - 1
+    candidates.  The class is then lifted backwards along ``t``'s symbol
+    prefix, one preimage per symbol.
     """
     _require_preperiodic(theta)
     info = t.orbit_info()
-    ell, p = info.preperiod, info.period
-    periodic_start = info.orbit[ell]
-
-    # rays landing with the periodic point: match among angles of period dividing p
-    denom = (1 << p) - 1
-    tail = frozenset(
-        cand
-        for k in range(denom)
-        for cand in [reduce(k, denom)]
-        if same_landing(theta, periodic_start, cand)
-    )
-
-    current = tail
+    ell = info.preperiod
+    current = _periodic_class(theta, info.orbit[ell:-1])
     for k in range(ell - 1, -1, -1):
         want = side(theta, info.orbit[k])
         lifted = set()
@@ -129,6 +131,56 @@ def colanding_class(theta: Angle, t: Angle) -> frozenset[Angle]:
     if t not in current:
         raise AssertionError(f"co-landing class of {t} failed to contain it")
     return current
+
+
+def _periodic_class(theta: Angle, cycle: list[Angle]) -> frozenset[Angle]:
+    """The angles of period dividing p = len(cycle) with the cycle's itinerary.
+
+    Depth-first search over the binary digits d1 d2 ... dp of k/(2^p - 1).
+    With d1..dm fixed, the j-th shift (j < m) lies in the dyadic interval
+    [0.d_{j+1}..d_m, 0.d_{j+1}..d_m + 2^-(m-j)].  Once that interval lies
+    wholly on one side of the critical leaf, the shift's symbol is settled:
+    the prefix is dropped if it is the wrong one, and the shift is not looked
+    at again otherwise.  Each survivor at depth p is checked exactly against
+    the whole itinerary.  Periodic angles have odd denominators and the leaf
+    endpoints even ones, so no shift is an endpoint and no symbol is None.
+    """
+    tn, td = theta.num, theta.den
+    want = [side(theta, a) for a in cycle]
+    p = len(cycle)
+    denom = (1 << p) - 1
+    # the shift's interval [a/2^r, (a + 1)/2^r] against the leaf endpoints
+    # tn/(2 td) and (tn + td)/(2 td), all multiplied by 2 td 2^r
+    span = 2 * td
+    found: set[Angle] = set()
+    stack = [(0, 0, ())]  # (m, value of d1..dm, shifts j < m not yet settled)
+    while stack:
+        m, prefix, unsettled = stack.pop()
+        if m == p:
+            # shift j of k/(2^p - 1) rotates k's p digits left by j
+            if all(
+                _side(tn, td, ((prefix << j) | (prefix >> (p - j))) & denom, denom) == w
+                for j, w in enumerate(want)
+            ):
+                found.add(reduce(prefix, denom))
+            continue
+        m += 1
+        for value in (2 * prefix, 2 * prefix + 1):
+            still = []
+            for j in (*unsettled, m - 1):
+                r = m - j
+                left = (value & ((1 << r) - 1)) * span
+                right = left + span
+                lo, hi = tn << r, (tn + td) << r
+                inside = lo <= left and right <= hi  # symbol 1
+                if inside or right <= lo or left >= hi:  # settled
+                    if inside != want[j]:
+                        break
+                else:
+                    still.append(j)
+            else:
+                stack.append((m, value, still))
+    return frozenset(found)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import cmath
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +31,14 @@ from quadmate.errors import StructuralError
 from quadmate.ratmap import chordal, from_critical_values
 
 A14, A18 = Angle(1, 4), Angle(1, 8)
+
+# structural_gates verdicts of every pair in the bench's gate census
+GATE_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "gate_verdicts.txt"
+VERDICT_PREFIXES = {
+    "conjugate limbs": "conjugate",
+    "pinched curve": "pinched",
+    "subdivision failure": "subdivision",
+}
 
 # curve parameters: dyadic denominators grow one bit per level, and base
 # parameters bring odd factors
@@ -307,3 +316,22 @@ class TestStructuralGates:
         assert "conjugate limbs" in structural_gates(A14, Angle(3, 4))
         assert "pinched curve" in structural_gates(Angle(1, 6), Angle(13, 14))
         assert "subdivision" in structural_gates(reduce(1, 32), reduce(1, 12))
+
+    def test_verdict_table(self):
+        with GATE_VERDICTS.open() as fh:
+            rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+        assert len(rows) == 3486
+        for alpha, beta, want in rows[::10]:
+            reason = structural_gates(Angle.parse(alpha), Angle.parse(beta))
+            got = "accepted" if reason is None else VERDICT_PREFIXES[reason.split(":", 1)[0]]
+            assert got == want, (alpha, beta, reason)
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [("1/4", "1/1022"), ("5/18", "1/22"), ("1/4", "1/16382")],
+    )
+    def test_deep_pairs_fail_subdivision(self, alpha, beta):
+        # landing periods 9, 10 and 13: a scan over all 2^period candidates
+        # took 23 s on the last
+        reason = structural_gates(Angle.parse(alpha), Angle.parse(beta))
+        assert reason is not None and reason.startswith("subdivision failure")

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadmate.angles import Angle, reduce
+from quadmate.angles import Angle, cyclic_between, reduce
 from quadmate.errors import AngleError
 from quadmate.lamination import (
     Leaf,
@@ -15,6 +15,7 @@ from quadmate.lamination import (
     mateable,
     pullback_lamination,
     same_landing,
+    side,
     wake,
 )
 
@@ -24,13 +25,36 @@ preperiodic = st.builds(
     st.sampled_from([2, 4, 6, 8, 10, 12, 16, 20, 24, 32]),
 ).filter(lambda a: a.is_preperiodic())
 
-# denominators with small odd part keep the landing-point periods tiny, so
-# the co-landing search stays fast
 rational = st.builds(
     lambda p, q: reduce(p, q),
-    st.integers(min_value=0, max_value=300),
-    st.sampled_from([1, 3, 5, 7, 9, 15, 2, 4, 6, 8, 12, 16, 24, 32, 48, 56, 60]),
+    st.integers(min_value=0, max_value=8191),
+    st.sampled_from(
+        [1, 3, 5, 7, 9, 15, 2, 4, 6, 8, 12, 16, 24, 32, 48, 56, 60, 1023, 2046, 4095]
+    ),
 )
+
+
+def reference_side(theta: Angle, t: Angle) -> int | None:
+    """``side`` by its definition: the counterclockwise arc (theta/2, theta/2 + 1/2)."""
+    lo, hi = theta.halves()
+    if t in (lo, hi):
+        return None
+    return 1 if cyclic_between(lo, t, hi) else 0
+
+
+def scan_classes(theta: Angle, preperiod: int, period: int) -> dict[Angle, frozenset[Angle]]:
+    """The brute-force scan: every angle k/(2^preperiod (2^period - 1)), grouped by
+    its first preperiod + period symbols, which fix its whole itinerary."""
+    denom = (1 << preperiod) * ((1 << period) - 1)
+    classes: dict[tuple, set[Angle]] = {}
+    for k in range(denom):
+        a = b = reduce(k, denom)
+        word = []
+        for _ in range(preperiod + period):
+            word.append(reference_side(theta, b))
+            b = b.double()
+        classes.setdefault(tuple(word), set()).add(a)
+    return {a: frozenset(cls) for cls in classes.values() for a in cls}
 
 
 class TestLeaf:
@@ -98,6 +122,31 @@ class TestSameLanding:
                     for w in cb:
                         if z != w:
                             assert not Leaf(x, y).crosses(Leaf(z, w))
+
+
+class TestColandingOracle:
+    @settings(max_examples=200)
+    @given(st.data(), st.one_of(preperiodic, rational))
+    def test_side_matches_definition(self, data, theta):
+        t = data.draw(st.one_of(rational, st.sampled_from(theta.halves())))
+        assert side(theta, t) == reference_side(theta, t)
+
+    @pytest.mark.parametrize("theta", ["1/4", "1/8", "5/18", "1/10", "9/10", "7/24", "1/22"])
+    def test_digit_search_matches_scan(self, theta):
+        theta = Angle.parse(theta)
+        checked = 0
+        # every angle of period at most 10, and those of preperiod 1 or 2
+        # and period at most 6 to cover the backward lift
+        for preperiod, max_period in ((0, 10), (1, 6), (2, 6)):
+            for period in range(1, max_period + 1):
+                scanned = scan_classes(theta, preperiod, period)
+                for t, want in scanned.items():
+                    info = t.orbit_info()
+                    if (info.preperiod, info.period) == (preperiod, period):
+                        assert colanding_class(theta, t) == want, t
+                        checked += 1
+        # 1965 periodic angles, 105 of preperiod 1 and 210 of preperiod 2
+        assert checked == 2280
 
 
 class TestPullbackLamination:
