@@ -18,7 +18,6 @@ from pathlib import Path
 from .angles import Angle
 from .combinatorics import (
     base_schedule,
-    is_jordan,
     fsr_valid,
     jordan_defect,
     postcritical_count,
@@ -87,12 +86,11 @@ def cmd_check(args) -> int:
     print(f"mateable: {_yes(ok)}")
     print(f"limb of alpha: {la if la is not None else 'none'}")
     print(f"limb of beta:  {lb if lb is not None else 'none'}")
-    jordan = is_jordan(alpha, beta)
+    defect = jordan_defect(alpha, beta)
+    jordan = defect is None
     print(f"is_jordan: {_yes(jordan)}")
     if not jordan:
-        names = ", ".join(
-            str(sa) for sa in sorted(jordan_defect(alpha, beta), key=lambda x: x.sort_key())
-        )
+        names = ", ".join(str(sa) for sa in sorted(defect, key=lambda x: x.sort_key()))
         print(f"pinching class: {{{names}}}")
     valid = fsr_valid(alpha, beta)
     print(f"fsr_valid: {_yes(valid)}")
@@ -171,13 +169,11 @@ def cmd_mate(args) -> int:
         tol=args.tol,
         samples_per_arc=args.samples,
         budget=args.budget,
-        workers=args.workers,
     )
     for name, value in (
         ("--iters", opts.max_iters),
         ("--samples", opts.samples_per_arc),
         ("--budget", opts.budget),
-        ("--workers", opts.workers),
     ):
         if value <= 0:
             raise AngleError(f"{name} must be positive, got {value}")
@@ -252,7 +248,6 @@ def build_parser() -> _Parser:
     p_mate.add_argument("--tol", type=float, default=1e-9, help="convergence threshold")
     p_mate.add_argument("--samples", type=int, default=64, help="initial samples per arc")
     p_mate.add_argument("--budget", type=int, default=4096, help="sample cap per curve")
-    p_mate.add_argument("--workers", type=int, default=1, help="threads for arc lifting")
     p_mate.add_argument("--dump", default=None, help="directory for run artifacts")
     p_mate.add_argument("--render", action="store_true", help="write SVG figures")
     p_mate.set_defaults(func=cmd_mate)

@@ -190,9 +190,6 @@ class _RaySystem:
             j = self.image[j]
         return False
 
-    def class_of(self, sa: SideAngle) -> frozenset[SideAngle]:
-        return self.classes[self.index[sa]]
-
 
 @lru_cache(maxsize=32)
 def _ray_system(alpha: Angle, beta: Angle) -> _RaySystem:
@@ -342,9 +339,6 @@ class Schedule:
     base_points: tuple[tuple[Angle, int], ...]
     black_value: Angle  # curve parameter of the black critical value (alpha)
     red_value: Angle  # curve parameter of the red critical value (1 - beta)
-
-    def parameters(self) -> tuple[Angle, ...]:
-        return tuple(m.parameter for m in self.marks)
 
     def mark_at(self, t: Angle) -> Mark:
         for m in self.marks:

@@ -27,8 +27,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from .angles import Angle, midpoint, reduce
@@ -60,12 +59,12 @@ ZERO = Angle(0, 1)
 # accepted without refinement
 _AMBIGUITY_RATIO = 0.8
 _MAX_REFINE = 48
-# largest phase step of the squared lift accepted by the winding rule; above
-# this a hidden half-turn around the branch point is too likely, so refine
-_WINDING_GUARD = 2.5
+_DENSIFY_STEPS = 8  # samples _densify adds toward each critical passage
 _STITCH_TOL = 1e-6
 _CRITICAL_COLLISION_TOL = 1e-13
 _MARK_WINDOW = 8  # samples on each side of a mark that prune leaves alone
+# a prune is refused when it sweeps this close to a postcritical point
+_PRUNE_TOL = 1e-6
 
 # two distinct postcritical points this close mean the embedding has left
 # moduli space (the classic divergence mode of parabolic orbifolds)
@@ -167,8 +166,6 @@ class IterateOptions:
     tol: float = 1e-9
     samples_per_arc: int = 64
     budget: int = 4096
-    prune_tol: float = 1e-6
-    workers: int = 1
 
 
 def _unit_circle(t: Fraction) -> complex:
@@ -246,14 +243,14 @@ def _lift_arc(
     return out
 
 
-def _winding_choice(prev, plus, minus, guard: float = _WINDING_GUARD) -> SpherePoint:
+def _winding_choice(prev, plus, minus) -> SpherePoint:
     """Branch continuation by the phase of the squared step.
 
     When the lift skims a branch point the two candidates are almost
     equidistant from the previous sample forever, but the square of the lift
-    is branch-free: as long as its phase step stays clearly short of a half
-    turn, the continuous square root is ``prev * sqrt(z1^2 / prev^2)``.
-    Returns None when a hidden half turn cannot be ruled out.
+    is branch-free, and after exhausted refinement the step is so short that
+    the continuous square root is ``prev * sqrt(z1^2 / prev^2)``.  Returns
+    None when a point is at 0 or infinity or the ratio is not finite.
     """
     if prev is None or plus is None or minus is None:
         return None
@@ -261,7 +258,7 @@ def _winding_choice(prev, plus, minus, guard: float = _WINDING_GUARD) -> SphereP
     if z0_sq == 0 or z1_sq == 0 or not (cmath.isfinite(z0_sq) and cmath.isfinite(z1_sq)):
         return None
     r = z1_sq / z0_sq
-    if r == 0 or not cmath.isfinite(r) or abs(cmath.phase(r)) > guard:
+    if r == 0 or not cmath.isfinite(r):
         return None
     w = prev * cmath.sqrt(r)
     return plus if abs(plus - w) <= abs(minus - w) else minus
@@ -287,8 +284,8 @@ def _lift_step(F, out, t0, prev, t1, z1, depth) -> SpherePoint:
     if depth == 0:
         # refinement exhausted: a skim past a branch point keeps the ratio
         # ambiguous at every scale, but the winding rule still resolves it;
-        # at this point the step is tiny, so trust the phase outright
-        chosen = _winding_choice(prev, plus, minus, guard=math.pi + 1.0)
+        # the step is tiny by now, so its phase is trusted outright
+        chosen = _winding_choice(prev, plus, minus)
         if chosen is None:
             raise BranchTrackingError(t1)
         out.append((t1, chosen))
@@ -304,13 +301,13 @@ def _lift_step(F, out, t0, prev, t1, z1, depth) -> SpherePoint:
 
 
 def _densify(
-    far: tuple[Angle, SpherePoint], near: tuple[Angle, SpherePoint], steps: int = 8
+    far: tuple[Angle, SpherePoint], near: tuple[Angle, SpherePoint]
 ) -> list[tuple[Angle, SpherePoint]]:
     """Samples accumulating geometrically from ``far`` toward ``near``."""
     out: list[tuple[Angle, SpherePoint]] = []
     t1, z1 = near
     cur = far
-    for _ in range(steps):
+    for _ in range(_DENSIFY_STEPS):
         ok, zm = _slerp_mid(cur[1], z1)
         if not ok:
             break
@@ -334,7 +331,6 @@ def pullback_curve(
     c: DiscreteCurve,
     F: NormalizedQuadratic,
     s_next: Schedule,
-    workers: int = 1,
 ) -> DiscreteCurve:
     """Lift the level-n curve through F onto the level n+1 schedule.
 
@@ -383,11 +379,7 @@ def pullback_curve(
         arcs.append(entries)
         arc_marks.append(head)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lifts = list(pool.map(lambda a: _lift_arc(F, a), arcs))
-    else:
-        lifts = [_lift_arc(F, a) for a in arcs]
+    lifts = [_lift_arc(F, a) for a in arcs]
 
     crit_pos = {Side.BLACK: 0.0 + 0.0j, Side.RED: None}
     base_params = {t for t, _ in s_next.base_points}
@@ -652,36 +644,24 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
 
 
 def _rebase(c: DiscreteCurve, s0: Schedule) -> DiscreteCurve:
-    """Forget plumbing and critical marks, keeping the persistent base marks.
+    """Forget plumbing and critical marks, keeping the level-0 marks.
 
-    The postcritical parameters recur at every level, so the next pullback
-    rebuilds critical-point marks from the base schedule alone; this keeps the
-    schedule size constant across iterations.
+    The postcritical parameters and the anchor recur at every level, so the
+    rebased curve carries the level-0 schedule at its own level, and the next
+    pullback rebuilds critical-point marks from it; this keeps the schedule
+    size constant across iterations.
     """
-    base = dict(s0.base_points)
-    marks = []
+    mark_of = {m.parameter: m for m in s0.marks}
     samples = []
     for smp in c.samples:
         t = smp.parameter
-        if t in base:
-            m = Mark(t, MarkKind.POSTCRITICAL, point_id=base[t])
-        elif t == ZERO:
-            m = Mark(t, MarkKind.ANCHOR)
-        else:
-            m = None
-        if m is not None:
-            marks.append(m)
+        m = mark_of.get(t)
         samples.append(
             smp if m is None and smp.mark is None else CurveSample(t, smp.position, m)
         )
-    sched = Schedule(
-        marks=tuple(marks),
-        level=c.level,
-        base_points=s0.base_points,
-        black_value=s0.black_value,
-        red_value=s0.red_value,
+    return DiscreteCurve(
+        samples=tuple(samples), level=c.level, schedule=replace(s0, level=c.level)
     )
-    return DiscreteCurve(samples=tuple(samples), level=c.level, schedule=sched)
 
 
 def _collision(embedded: dict[int, SpherePoint]) -> tuple[int, int] | None:
@@ -728,9 +708,9 @@ def _pullback(
     except ValueError as exc:
         raise StructuralError("critical value collision", str(exc)) from exc
     s_next = pullback_schedule(curve.schedule, alpha, beta)
-    lifted = pullback_curve(curve, F, s_next, workers=opts.workers)
+    lifted = pullback_curve(curve, F, s_next)
     before = len(lifted.samples)
-    lifted = prune(lifted, opts.budget, opts.prune_tol)
+    lifted = prune(lifted, opts.budget, _PRUNE_TOL)
     return _rebase(lifted, s0), before
 
 

@@ -42,9 +42,6 @@ class Leaf:
         inside = in_open_arc(other.a, self.a, self.b)
         return inside != in_open_arc(other.b, self.a, self.b)
 
-    def endpoints(self) -> frozenset[Angle]:
-        return frozenset((self.a, self.b))
-
 
 def _require_preperiodic(theta: Angle):
     if not theta.is_preperiodic():
@@ -295,16 +292,14 @@ def wake(limb: LimbId) -> tuple[Angle, Angle]:
     raise AssertionError(f"no rotation cycle found for {limb.rotation}")
 
 
-def limb_of(theta: Angle, max_period: int | None = None) -> LimbId | None:
+def limb_of(theta: Angle) -> LimbId | None:
     """The smallest-period limb whose wake strictly contains ``theta``.
 
-    The search period is bounded by ``1 + bit length of theta's denominator``
-    (at least 16); deeper limbs are irrelevant at desk-scale inputs.
+    Periods q are tried up to ``max(16, 1 + bit length of theta's
+    denominator)``; None when no wake up to that period contains ``theta``.
     """
     _require_preperiodic(theta)
-    if max_period is None:
-        max_period = max(16, theta.den.bit_length() + 1)
-    for q in range(2, max_period + 1):
+    for q in range(2, max(16, theta.den.bit_length() + 1) + 1):
         for p in range(1, q):
             if reduce(p, q).den != q:
                 continue

@@ -2,9 +2,13 @@
 
 import filecmp
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadmate
 from quadmate.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -13,6 +17,16 @@ from quadmate.cli import (
     main,
 )
 from quadmate.serialize import load_curve
+
+SRC = str(Path(quadmate.__file__).resolve().parents[1])
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python args`` in a fresh interpreter that imports this quadmate."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 class TestCheck:
@@ -79,6 +93,15 @@ class TestMate:
         assert main(["mate", "1/4", "1/8", "--budget", "-5"]) == EXIT_USAGE
         assert main(["mate", "1/4", "1/8", "--render"]) == EXIT_USAGE
 
+    def test_workers_option_is_gone(self):
+        # lifting is serial; a leftover --workers is a usage error, not ignored
+        proc = _run("-m", "quadmate.cli", "mate", "1/4", "1/8", "--iters", "1", "--workers", "2")
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--workers" in errors[0]
+        assert proc.stdout == ""
+
     def test_budget_below_marks_is_usage_error(self, capsys):
         # the lifted (1/4, 1/8) curve carries 10 marks
         assert main(["mate", "1/4", "1/8", "--budget", "3"]) == EXIT_USAGE
@@ -140,3 +163,23 @@ class TestMate:
         out = capsys.readouterr().out
         assert "status: diverged" in out
         assert "collided" in out
+
+
+def test_cli_imports_only_the_standard_library():
+    # compared against the interpreter's own start-up modules, since site may
+    # already have loaded third-party packages
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import quadmate.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = _run("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "quadmate.cli" in loaded
+    foreign = [
+        name for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"quadmate"}
+    ]
+    assert foreign == []

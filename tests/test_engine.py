@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,14 +295,22 @@ class TestIterate:
         assert "collided" in report.message
         assert any("orbifold" in w for w in report.warnings)
 
-    def test_workers_bit_identical(self):
-        opts1 = IterateOptions(max_iters=3, tol=0.0, samples_per_arc=32, workers=1)
-        opts2 = IterateOptions(max_iters=3, tol=0.0, samples_per_arc=32, workers=2)
-        r1 = iterate(A14, A18, opts1)
-        r2 = iterate(A14, A18, opts2)
-        assert [s.position for s in r1.final_curve.samples] == [
-            s.position for s in r2.final_curve.samples
-        ]
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        # 0 is a postcritical point of (1/4, 1/4); on (7/32, 1/4) the
+        # postcritical point at 7/8 is a critical point
+        [(A14, A18), (A14, A14), (reduce(7, 32), A14)],
+    )
+    def test_curves_carry_the_level0_schedule(self, alpha, beta):
+        # every curve a record hands out is rebased onto the level-0 marks
+        s0 = base_schedule(alpha, beta)
+        curves = []
+        opts = IterateOptions(max_iters=3, tol=0.0, samples_per_arc=32, budget=2048)
+        iterate(alpha, beta, opts, curve_hook=curves.append)
+        assert len(curves) == 4
+        for c in curves:
+            assert c.schedule == replace(s0, level=c.level)
+            assert tuple(s.mark for s in c.samples if s.mark is not None) == s0.marks
 
     def test_relabel_covers_every_point_id(self):
         report = iterate(A14, A18, IterateOptions(max_iters=1, tol=0.0, samples_per_arc=32))
