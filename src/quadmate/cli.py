@@ -1,9 +1,10 @@
 """Command-line interface: structural checks, schedules, and mating runs.
 
 Exit codes: 0 success, 2 structural gate failure, 3 numeric failure (branch
-loss or divergence), 64 usage.  Artifacts of one ``mate`` run land in a
-directory named by the run id, a digest of the full configuration, so reruns
-with the same configuration overwrite their own artifacts byte for byte.
+loss or divergence), 64 usage, including a dump directory that cannot be
+created.  Artifacts of one ``mate`` run land in a directory named by the run
+id, a digest of the full configuration, so reruns with the same configuration
+overwrite their own artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -145,7 +146,6 @@ def _write_artifacts(
     curves: list[DiscreteCurve],
     render: bool,
 ):
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(format_report(report, run_id))
     for curve, rec in zip(curves, report.records):
         (out_dir / f"curve-{rec.n:03d}.txt").write_text(
@@ -187,19 +187,30 @@ def cmd_mate(args) -> int:
         raise AngleError(
             f"--budget must be at least {floor} for ({alpha}, {beta}), got {opts.budget}"
         )
-    dump_dir = args.dump or os.environ.get(_DUMP_ENV)
+    # an empty $QUADMATE_DUMP_DIR counts as unset
+    dump_dir = args.dump or os.environ.get(_DUMP_ENV) or None
     if args.render and dump_dir is None:
         raise AngleError(
             f"--render needs a dump directory (--dump or ${_DUMP_ENV})"
         )
 
     run_id = _run_id(alpha, beta, opts)
+    out_dir = None
+    if dump_dir is not None:
+        # made before the run, so an unusable directory costs no iterations
+        out_dir = Path(dump_dir) / run_id
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise AngleError(
+                f"cannot use dump directory {dump_dir}: {exc.strerror or exc}"
+            ) from exc
     curves: list[DiscreteCurve] = []
-    hook = curves.append if dump_dir is not None else None
+    hook = curves.append if out_dir is not None else None
     report = iterate(alpha, beta, opts, curve_hook=hook)
 
-    if dump_dir is not None:
-        _write_artifacts(Path(dump_dir) / run_id, run_id, report, curves, args.render)
+    if out_dir is not None:
+        _write_artifacts(out_dir, run_id, report, curves, args.render)
 
     print(f"run-id: {run_id}")
     for w in report.warnings:

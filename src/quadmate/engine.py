@@ -110,7 +110,8 @@ class DiscreteCurve:
     level: int
     schedule: Schedule
 
-    def sample_at(self, t: Angle) -> CurveSample:
+    def index(self, t: Angle) -> int:
+        """The position of the sample at parameter ``t``, by bisection."""
         lo, hi = 0, len(self.samples)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -119,8 +120,11 @@ class DiscreteCurve:
             else:
                 hi = mid
         if lo < len(self.samples) and self.samples[lo].parameter == t:
-            return self.samples[lo]
+            return lo
         raise KeyError(t)
+
+    def sample_at(self, t: Angle) -> CurveSample:
+        return self.samples[self.index(t)]
 
     def marked(self) -> tuple[CurveSample, ...]:
         return tuple(s for s in self.samples if s.mark is not None)
@@ -265,17 +269,39 @@ def _winding_choice(prev, plus, minus) -> SpherePoint:
 
 
 def _lift_step(F, out, t0, prev, t1, z1, depth) -> SpherePoint:
+    """Append the lift of the parent step to ``(t1, z1)`` that continues ``prev``.
+
+    ``F.preimages`` returns ``(root, -root)``, exact negatives, so
+    1 + |minus|^2 is 1 + |plus|^2 to the bit and the chordal distances of
+    both candidates to ``prev`` share one denominator.  The distances are
+    formed once, as the same quotients in the same order that ``chordal``
+    forms, so they are bit-identical to it; a point at infinity, or a
+    difference that overflows, goes through ``chordal`` itself.
+    """
     plus, minus = F.preimages(z1)
-    if chordal(plus, minus) < 1e-12:
+    if plus is not None and prev is not None:
+        split, r = abs(plus - minus), abs(prev)
+        dp, dm = abs(plus - prev), abs(minus - prev)
+    if plus is None or prev is None or not split + r + dp + dm < math.inf:
+        split = chordal(plus, minus)
+        at_zero, at_inf = chordal(prev, 0.0 + 0.0j), chordal(prev, None)
+        dp, dm = chordal(plus, prev), chordal(minus, prev)
+    else:
+        pp = 1.0 + plus.real * plus.real + plus.imag * plus.imag
+        qq = 1.0 + prev.real * prev.real + prev.imag * prev.imag
+        den = (pp * qq) ** 0.5
+        split = 2.0 * split / (pp * pp) ** 0.5
+        at_zero, at_inf = 2.0 * r / qq ** 0.5, 2.0 / (1.0 + r**2) ** 0.5
+        dp, dm = 2.0 * dp / den, 2.0 * dm / den
+    if split < 1e-12:
         # critical-value passage: the two branches meet, no choice to make
         out.append((t1, plus))
         return plus
-    if chordal(prev, 0.0 + 0.0j) < 1e-9 or chordal(prev, None) < 1e-9:
+    if at_zero < 1e-9 or at_inf < 1e-9:
         # leaving a critical point: both continuations are equidistant, and
         # the stitcher's sign choice overrides whichever we take
         out.append((t1, plus))
         return plus
-    dp, dm = chordal(plus, prev), chordal(minus, prev)
     near, far = min(dp, dm), max(dp, dm)
     if far > 0 and near / far <= _AMBIGUITY_RATIO:
         chosen = plus if dp <= dm else minus
@@ -344,30 +370,42 @@ def pullback_curve(
 
     Parameters stay exact angles: a parent sample at ``a`` reappears at
     ``a.half(0)`` and ``a.half(1)``, and refinement inserts arc midpoints.
+    The parent's parameters ascend from 0, so the child traversal ascends
+    too (lap 0 fills [0, 1/2), lap 1 fills [1/2, 1)), and every midpoint lies
+    strictly between its neighbours.  Hence each child mark is found by
+    bisection over the parent, the arc heads are the only marked samples, and
+    the stitched arcs concatenate in ascending order.
     """
-    mark_of = {m.parameter: m for m in s_next.marks}
-
     # child traversal: two laps over the parent, parameters halved
-    traversal: list[tuple[Angle, SpherePoint, Mark | None]] = []
-    for lap in (0, 1):
-        for smp in c.samples:
-            tau = smp.parameter.half(lap)
-            traversal.append((tau, smp.position, mark_of.get(tau)))
+    params = [smp.parameter.half(0) for smp in c.samples]
+    params += [smp.parameter.half(1) for smp in c.samples]
+    positions = [smp.position for smp in c.samples] * 2
 
-    boundaries = [i for i, (_, _, m) in enumerate(traversal) if m is not None]
-    if not boundaries or traversal[boundaries[0]][0] != ZERO:
+    boundaries: list[int] = []
+    arc_marks: list[Mark] = []
+    for m in s_next.marks:
+        # the child parameter t is the half of the parent's 2t on the lap
+        # that contains t
+        t = m.parameter
+        try:
+            k = c.index(t.double())
+        except KeyError:
+            continue
+        lap = 1 if 2 * t.num >= t.den else 0
+        boundaries.append(lap * len(c.samples) + k)
+        arc_marks.append(m)
+    if not boundaries or params[boundaries[0]] != ZERO:
         raise AssertionError("child traversal lost its anchor mark")
     arcs: list[list[tuple[Angle, SpherePoint]]] = []
-    arc_marks: list[Mark] = []
     for k, start in enumerate(boundaries):
         end = boundaries[(k + 1) % len(boundaries)]
         if end > start:
-            chunk = traversal[start : end + 1]
+            entries = list(zip(params[start : end + 1], positions[start : end + 1]))
         else:  # wrap: close the loop back through the anchor
-            chunk = traversal[start:] + traversal[:1]
-        entries = [(t, z) for t, z, _ in chunk]
-        head = traversal[start][2]
-        tail = traversal[end][2]
+            entries = list(zip(params[start:], positions[start:]))
+            entries.append((params[0], positions[0]))
+        head = arc_marks[k]
+        tail = arc_marks[(k + 1) % len(boundaries)]
         # densify toward critical passages so fork directions are read close
         # to the critical point, where the two lifts separate at right angles
         if tail.kind is MarkKind.CRITICAL_POINT and len(entries) >= 2:
@@ -377,9 +415,14 @@ def pullback_curve(
             mids.reverse()
             entries = [entries[0]] + mids + entries[1:]
         arcs.append(entries)
-        arc_marks.append(head)
 
-    lifts = [_lift_arc(F, a) for a in arcs]
+    lifts: list[list[tuple[Angle, SpherePoint]]] = []
+    for k, entries in enumerate(arcs):
+        try:
+            lifts.append(_lift_arc(F, entries))
+        except BranchTrackingError as exc:
+            exc.arc = k
+            raise
 
     crit_pos = {Side.BLACK: 0.0 + 0.0j, Side.RED: None}
     base_params = {t for t, _ in s_next.base_points}
@@ -399,7 +442,7 @@ def pullback_curve(
         if mark.kind is MarkKind.CRITICAL_POINT and chordal(
             lifts[start][0][1], crit_pos[mark.color]
         ) > _STITCH_TOL:
-            raise BranchTrackingError(mark.parameter, "lift misses the critical point")
+            raise BranchTrackingError(mark.parameter, "lift misses the critical point", arc=start)
         for k in range(start + 1, stop):
             prev_end = lifts[k - 1][-1][1]
             if rel[k - 1] == -1:
@@ -407,7 +450,9 @@ def pullback_curve(
             dp = chordal(lifts[k][0][1], prev_end)
             dm = chordal(_neg(lifts[k][0][1]), prev_end)
             if min(dp, dm) > _STITCH_TOL:
-                raise BranchTrackingError(arc_marks[k].parameter, "arc endpoints fail to meet")
+                raise BranchTrackingError(
+                    arc_marks[k].parameter, "arc endpoints fail to meet", arc=k
+                )
             rel[k] = 1 if dp <= dm else -1
 
     def chain_score(ci: int, lead: int) -> float:
@@ -447,30 +492,34 @@ def pullback_curve(
             )
             ahead = next((p for _, p in lifts[start][1:] if chordal(p, cp) > 1e-9), None)
             if back is None or ahead is None:
-                raise BranchTrackingError(mark.parameter, "curve stalls at a critical point")
+                raise BranchTrackingError(
+                    mark.parameter, "curve stalls at a critical point", arc=start
+                )
             d = _vec(stereographic(back), n_hat)
             w = _vec(n_hat, stereographic(ahead))
             trip = _triple(d, w, n_hat)
             want_negative = mark.color is Side.BLACK  # fork right at 0, left at infinity
             if trip == 0.0:
-                raise BranchTrackingError(mark.parameter, "handedness test degenerate")
+                raise BranchTrackingError(mark.parameter, "handedness test degenerate", arc=start)
             lead = 1 if (trip < 0) == want_negative else -1
         for k in range(start, stop):
             signs[k] = lead * rel[k]
 
-    chosen = [
-        lift if signs[k] == 1 else [(t, _neg(p)) for t, p in lift]
-        for k, lift in enumerate(lifts)
-    ]
-    closing = chosen[-1][-1][1]
+    closing = lifts[-1][-1][1] if signs[-1] == 1 else _neg(lifts[-1][-1][1])
     if chordal(closing, 1.0 + 0.0j) > _STITCH_TOL:
-        raise BranchTrackingError(ZERO, "lifted curve fails to close at the anchor")
+        raise BranchTrackingError(
+            ZERO, "lifted curve fails to close at the anchor", arc=len(lifts) - 1
+        )
 
     # an arc's last entry is shared with the next arc's head
-    samples = [
-        CurveSample(t, p, mark_of.get(t)) for picked in chosen for t, p in picked[:-1]
-    ]
-    samples.sort(key=lambda smp: smp.parameter)
+    samples: list[CurveSample] = []
+    for lift, sign, mark in zip(lifts, signs, arc_marks):
+        t, p = lift[0]
+        samples.append(CurveSample(t, p if sign == 1 else _neg(p), mark))
+        if sign == 1:
+            samples += [CurveSample(t, p) for t, p in lift[1:-1]]
+        else:
+            samples += [CurveSample(t, None if p is None else -p) for t, p in lift[1:-1]]
     return DiscreteCurve(samples=tuple(samples), level=s_next.level, schedule=s_next)
 
 
@@ -532,17 +581,6 @@ def _closest_on_triangle(p, a, b, c) -> tuple[float, float, float]:
     return tuple(a[i] + ab[i] * s + ac[i] * t for i in range(3))
 
 
-def _point_segment_dist(p, a, b) -> float:
-    ab = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    ap = (p[0] - a[0], p[1] - a[1], p[2] - a[2])
-    den = ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2]
-    if den == 0:
-        return math.dist(p, a)
-    t = (ap[0] * ab[0] + ap[1] * ab[1] + ap[2] * ab[2]) / den
-    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-    return math.dist(p, (a[0] + t * ab[0], a[1] + t * ab[1], a[2] + t * ab[2]))
-
-
 def _sweep_clearance(g, a, b, c) -> float:
     """Clearance between a guarded sphere point and the swept triangle.
 
@@ -559,8 +597,18 @@ def _sweep_clearance(g, a, b, c) -> float:
 
 
 def _deviation(prev, cur, nxt) -> float:
-    """How far sample ``cur`` sticks out from the chord of its neighbors."""
-    return _point_segment_dist(cur, prev, nxt)
+    """How far sample ``cur`` sticks out from the chord of its neighbors.
+
+    The distance in R^3 from ``cur`` to the segment ``prev``-``nxt``.
+    """
+    ab = (nxt[0] - prev[0], nxt[1] - prev[1], nxt[2] - prev[2])
+    ap = (cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2])
+    den = ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2]
+    if den == 0:
+        return math.dist(cur, prev)
+    t = (ap[0] * ab[0] + ap[1] * ab[1] + ap[2] * ab[2]) / den
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    return math.dist(cur, (prev[0] + t * ab[0], prev[1] + t * ab[1], prev[2] + t * ab[2]))
 
 
 def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
@@ -602,10 +650,13 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
                 protected[(i + off) % n] = True
     removable = [not protected[i] for i in range(n)]
 
-    heap: list[tuple[float, int, int]] = []
-    for i in range(n):
-        if removable[i]:
-            heapq.heappush(heap, (_deviation(pts[prv[i]], pts[i], pts[nxt[i]]), i, 0))
+    # entries (deviation, index, version) are unique by index and version, so
+    # they are totally ordered and the pop order does not depend on how the
+    # heap was built
+    heap = [
+        (_deviation(pts[prv[i]], pts[i], pts[nxt[i]]), i, 0) for i in range(n) if removable[i]
+    ]
+    heapq.heapify(heap)
 
     count = n
     while count > budget and heap:
@@ -823,7 +874,8 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
         report.message = str(exc)
         return report
     except BranchTrackingError as exc:
+        exc.iteration = n
         report.status = "diverged"
-        report.message = f"numeric failure: {exc}"
+        report.message = f"numeric failure at iteration {n}: {exc}"
     report.final_curve = curve
     return report

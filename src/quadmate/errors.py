@@ -26,11 +26,23 @@ class StructuralError(QuadmateError):
 
 
 class BranchTrackingError(QuadmateError):
-    """Continuity of the square-root lift was lost near the given curve parameter."""
+    """Continuity of the square-root lift was lost near the given curve parameter.
 
-    def __init__(self, parameter, message: str = "branch tracking lost"):
+    ``arc`` is the index, in child traversal order, of the arc being lifted or
+    stitched, and ``iteration`` the pullback that failed; each is None until
+    the code that knows it fills it in.
+    """
+
+    def __init__(self, parameter, message: str = "branch tracking lost", arc: int | None = None):
         self.parameter = parameter
-        super().__init__(f"{message} at parameter {parameter}")
+        self.message = message
+        self.arc = arc
+        self.iteration: int | None = None
+        super().__init__(parameter, message)
+
+    def __str__(self) -> str:
+        where = "" if self.arc is None else f" on arc {self.arc}"
+        return f"{self.message} at parameter {self.parameter}{where}"
 
 
 class SerializationError(QuadmateError):

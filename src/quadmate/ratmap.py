@@ -127,10 +127,14 @@ class NormalizedQuadratic:
         """The two solutions of F(z) = w, coincident exactly at u and v.
 
         Solving the coefficient form for z^2 gives a Mobius image of w; the
-        principal square root is returned first, its negative second.
+        principal square root is returned first, its negative second.  The
+        pair is always ``(root, -root)``: exact negatives, or both None when
+        the root is not finite (``-root`` is finite exactly when ``root`` is).
+        Lifting relies on that to share work between the two candidates.
         """
         a, b, c, d = self.coeffs
-        w = as_point(w)
+        if type(w) is not complex or not cmath.isfinite(w):
+            w = as_point(w)
         if w is None:
             wn, wd = 1.0 + 0.0j, 0.0j
         else:
@@ -140,7 +144,9 @@ class NormalizedQuadratic:
         if den == 0:
             return (None, None)
         root = cmath.sqrt(num / den)
-        return (as_point(root), as_point(-root))
+        if cmath.isfinite(root):
+            return (root, -root)
+        return (None, None)
 
 
 def from_critical_values(u: SpherePoint, v: SpherePoint) -> NormalizedQuadratic:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import quadmate
+import quadmate.cli
 from quadmate.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -154,6 +155,35 @@ class TestMate:
         assert main(["mate", "1/4", "1/4", "--iters", "1", "--tol", "0"]) == EXIT_OK
         (run_dir,) = list(tmp_path.iterdir())
         assert (run_dir / "report.txt").exists()
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_unusable_dump_dir_is_usage_error(self, tmp_path, capsys, monkeypatch, via_env):
+        # refused before the run starts, with one line and no traceback
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        ran = []
+        monkeypatch.setattr(quadmate.cli, "iterate", lambda *a, **k: ran.append(a))
+        args = ["mate", "1/4", "1/8", "--iters", "2"]
+        if via_env:
+            monkeypatch.setenv("QUADMATE_DUMP_DIR", str(taken))
+        else:
+            args += ["--dump", str(taken)]
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("quadmate:") and str(taken) in lines[0]
+        assert captured.out == ""
+        assert ran == []
+        assert taken.read_text() == ""
+
+    def test_empty_env_var_dump_dir_is_unset(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QUADMATE_DUMP_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["mate", "1/4", "1/4", "--iters", "1", "--tol", "0"]) == EXIT_OK
+        assert list(tmp_path.iterdir()) == []
+        assert main(["mate", "1/4", "1/4", "--iters", "1", "--render"]) == EXIT_USAGE
+        assert "--render needs a dump directory" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, capsys):
         code = main(

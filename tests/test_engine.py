@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from quadmate import engine
 from quadmate.angles import Angle, midpoint, reduce
 from quadmate.combinatorics import (
     Mark,
@@ -28,7 +29,7 @@ from quadmate.engine import (
     relabel,
     structural_gates,
 )
-from quadmate.errors import StructuralError
+from quadmate.errors import BranchTrackingError, StructuralError
 from quadmate.ratmap import chordal, from_critical_values
 
 A14, A18 = Angle(1, 4), Angle(1, 8)
@@ -55,6 +56,61 @@ step = st.builds(
     st.integers(min_value=-(2**62), max_value=2**62),
     st.integers(min_value=2**63 + 1, max_value=2**64),
 )
+
+
+def reference_lift_step(F, out, t0, prev, t1, z1, depth):
+    """``engine._lift_step``'s decision logic, written with ``chordal`` throughout."""
+    plus, minus = F.preimages(z1)
+    if chordal(plus, minus) < 1e-12:
+        out.append((t1, plus))
+        return plus
+    if chordal(prev, 0.0 + 0.0j) < 1e-9 or chordal(prev, None) < 1e-9:
+        out.append((t1, plus))
+        return plus
+    dp, dm = chordal(plus, prev), chordal(minus, prev)
+    near, far = min(dp, dm), max(dp, dm)
+    if far > 0 and near / far <= engine._AMBIGUITY_RATIO:
+        chosen = plus if dp <= dm else minus
+        out.append((t1, chosen))
+        return chosen
+    if depth == 0:
+        chosen = engine._winding_choice(prev, plus, minus)
+        if chosen is None:
+            raise BranchTrackingError(t1)
+        out.append((t1, chosen))
+        return chosen
+    ok, zm = engine._slerp_mid(F.eval(prev), z1)
+    if not ok:
+        raise BranchTrackingError(t1)
+    tm = midpoint(t0, t1)
+    mid = reference_lift_step(F, out, t0, prev, tm, zm, depth - 1)
+    return reference_lift_step(F, out, tm, mid, t1, z1, depth - 1)
+
+
+def reference_lift_arc(F, entries):
+    t0, z0 = entries[0]
+    out = [(t0, F.preimages(z0)[0])]
+    for t1, z1 in entries[1:]:
+        reference_lift_step(F, out, out[-1][0], out[-1][1], t1, z1, engine._MAX_REFINE)
+    return out
+
+
+def _bits(z):
+    return None if z is None else (z.real.hex(), z.imag.hex())
+
+
+# critical values (u, v) of the maps the single-step oracle lifts through
+STEP_MAPS = [(1j, -1j), (2.0 + 0.5j, None), (0.01 - 3j, 1e-3 + 0j)]
+
+
+def _step_outcome(step, F, prev, z1):
+    """What one lift step appends (positions to the bit), or the error it raises."""
+    out = []
+    try:
+        step(F, out, Angle(0, 1), prev, Angle(1, 4), z1, 2)
+    except (BranchTrackingError, ArithmeticError) as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return [x if isinstance(x, str) else (x[0], _bits(x[1])) for x in out]
 
 
 def _angle_of(f: Fraction) -> Angle:
@@ -210,6 +266,126 @@ class TestParameterArithmetic:
             assert all(a < b for a, b in zip(params, params[1:]))
 
 
+class TestLiftOracle:
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        # 0 and infinity are postcritical points of (1/4, 1/4), so its lifts
+        # leave both, where the step gives way to chordal
+        [(A14, A18), (A14, A14)],
+    )
+    def test_lift_arc_matches_the_chordal_reference(self, alpha, beta, monkeypatch):
+        # the first three pullbacks at the default density, then a sparse run
+        # whose fourth pullback refines steps on both pairs
+        runs = [
+            IterateOptions(max_iters=3, tol=0.0),
+            IterateOptions(max_iters=4, tol=0.0, samples_per_arc=8, budget=128),
+        ]
+        lift_arc = engine._lift_arc
+        arcs = []
+
+        def recording(F, entries):
+            out = lift_arc(F, entries)
+            arcs.append((F, entries, out))
+            return out
+
+        monkeypatch.setattr(engine, "_lift_arc", recording)
+        for opts in runs:
+            iterate(alpha, beta, opts)
+        assert len({id(F) for F, _, _ in arcs}) == sum(opts.max_iters for opts in runs)
+        assert any(len(out) > len(entries) for _, entries, out in arcs)
+        # every curve passes the red critical point at infinity
+        assert any(p is None for _, _, out in arcs for _, p in out)
+        for F, entries, out in arcs:
+            want = reference_lift_arc(F, entries)
+            assert len(out) == len(want)
+            for (t, p), (rt, rp) in zip(out, want):
+                assert t == rt and p == rp
+
+    @pytest.mark.parametrize("radius", [0.2, 1.0, 5.0])
+    def test_refined_steps_match_the_chordal_reference(self, radius):
+        # lift steps that turn by nearly 90 degrees leave both candidates
+        # almost equidistant, so refinement nests several levels deep
+        F = from_critical_values(1j, cmath.exp(2j * cmath.pi * 7 / 8))
+        turns = [0.0]
+        for step in (80, 85, 89, 89.9, 89.99, 45, 120):
+            turns.append(turns[-1] + math.radians(step))
+        entries = [
+            (reduce(k, 16), F.eval(radius * cmath.exp(1j * x))) for k, x in enumerate(turns)
+        ]
+        out = engine._lift_arc(F, entries)
+        assert len(out) > len(entries)
+        assert out == reference_lift_arc(F, entries)
+
+    @pytest.mark.parametrize("uv", STEP_MAPS)
+    def test_single_steps_match_the_chordal_reference(self, uv):
+        # the previous lift is at infinity or has |prev| from 1e-160 to 1e154
+        # (the largest a square root reaches), crossing the thresholds at 0
+        # and infinity at every scale; the targets hit, or come within
+        # roundoff of, both critical values, where the candidates meet or
+        # overflow to infinity
+        F = from_critical_values(*uv)
+        targets = [None, 0j, 1 + 0j, -2 + 3j, 1e150j, 1e-150 + 0j]
+        for c in (F.u, F.v):
+            if c is not None:
+                targets += [c, c + 1e-7, c - 1e-13j, c + 1e-300]
+        prevs = [None] + [
+            10.0**k * cmath.exp(1j * phase) for k in range(-160, 155) for phase in (0.3, 2.0)
+        ]
+        for prev in prevs:
+            for z1 in targets:
+                assert _step_outcome(engine._lift_step, F, prev, z1) == _step_outcome(
+                    reference_lift_step, F, prev, z1
+                ), (prev, z1)
+
+
+class TestBranchFailureContext:
+    def test_report_names_iteration_and_arc(self, monkeypatch):
+        lift_arc = engine._lift_arc
+        pullback = engine.pullback_curve
+        levels, seen, raised = [], [], []
+
+        def counting(c, F, s_next):
+            levels.append(s_next.level)
+            return pullback(c, F, s_next)
+
+        def failing(F, entries):
+            if levels[-1] == 2:
+                seen.append(entries)
+                if len(seen) == 4:
+                    raised.append(BranchTrackingError(entries[-1][0]))
+                    raise raised[-1]
+            return lift_arc(F, entries)
+
+        monkeypatch.setattr(engine, "pullback_curve", counting)
+        monkeypatch.setattr(engine, "_lift_arc", failing)
+        report = iterate(A14, A18, IterateOptions(max_iters=5, tol=0.0, samples_per_arc=16))
+        (exc,) = raised
+        assert (exc.iteration, exc.arc) == (2, 3)
+        assert report.status == "diverged"
+        assert report.message == (
+            f"numeric failure at iteration 2: branch tracking lost at parameter "
+            f"{exc.parameter} on arc 3"
+        )
+        assert [r.n for r in report.records] == [0, 1]
+
+    def test_stitch_failure_carries_the_arc(self, ex2_level1, monkeypatch):
+        # turned by a quarter, every lifted arc still meets its neighbours,
+        # but the curve cannot close at the anchor, which ends the last arc
+        c0, F, _ = ex2_level1
+        lift_arc = engine._lift_arc
+
+        def turned(F, entries):
+            return [(t, None if p is None else p * 1j) for t, p in lift_arc(F, entries)]
+
+        monkeypatch.setattr(engine, "_lift_arc", turned)
+        s1 = pullback_schedule(c0.schedule, A14, A18)
+        with pytest.raises(BranchTrackingError, match="fails to close") as info:
+            pullback_curve(c0, F, s1)
+        last = len(s1.marks) - 1
+        assert (info.value.arc, info.value.iteration) == (last, None)
+        assert str(info.value).endswith(f"at parameter 0 on arc {last}")
+
+
 class TestPrune:
     def test_budget_respected_and_marks_kept(self, ex2_level1):
         _, _, c1 = ex2_level1
@@ -311,6 +487,9 @@ class TestIterate:
         for c in curves:
             assert c.schedule == replace(s0, level=c.level)
             assert tuple(s.mark for s in c.samples if s.mark is not None) == s0.marks
+            # the stitched arcs concatenate in order; nothing sorts them
+            params = [s.parameter for s in c.samples]
+            assert all(a < b for a, b in zip(params, params[1:]))
 
     def test_relabel_covers_every_point_id(self):
         report = iterate(A14, A18, IterateOptions(max_iters=1, tol=0.0, samples_per_arc=32))

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from quadmate.ratmap import (
     as_point,
@@ -46,6 +46,58 @@ def oracle_preimages(F, w):
     if len(out) == 0:
         out = [None, None]
     return out
+
+
+def legacy_preimages(F, w):
+    """``NormalizedQuadratic.preimages`` as written with ``as_point`` on every value."""
+    a, b, c, d = F.coeffs
+    w = as_point(w)
+    if w is None:
+        wn, wd = 1.0 + 0.0j, 0.0j
+    else:
+        wn, wd = w, 1.0 + 0.0j
+    num = d * wn - b * wd
+    den = a * wd - c * wn
+    if den == 0:
+        return (None, None)
+    root = cmath.sqrt(num / den)
+    return (as_point(root), as_point(-root))
+
+
+def bits(z):
+    """A point's exact bit pattern; tells -0.0 from 0.0."""
+    return None if z is None else (z.real.hex(), z.imag.hex())
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+# anything a caller may hand preimages: infinity, zero in several types, finite
+# values over the whole float range (so the Mobius step can overflow), and
+# non-finite complex values
+any_value = st.one_of(
+    st.none(),
+    st.sampled_from([0, 0.0, 0j, -0.0 + 0j, complex(1e308, 1e308), complex(-1e300, 1e-300)]),
+    st.builds(complex, any_float, any_float),
+    any_float,
+    finite_point,
+)
+
+
+def near_value(F):
+    """Points within 10^-e of a critical value, down to subnormal offsets.
+
+    Near v the Mobius denominator of preimages vanishes, so the root grows
+    without bound and finally overflows; near u both roots approach 0.
+    """
+    def offset(base, e, phase):
+        step = 10.0**-e * cmath.exp(1j * phase)
+        return 1.0 / step if base is None else base + step
+
+    return st.builds(
+        offset,
+        st.sampled_from([F.u, F.v]),
+        st.integers(min_value=0, max_value=322),
+        st.floats(min_value=0, max_value=2 * math.pi),
+    )
 
 
 class TestConstruction:
@@ -99,6 +151,18 @@ class TestPreimages:
             swapped = chordal(mine[0], oracle[1]) + chordal(mine[1], oracle[0])
             assert min(direct, swapped) < 1e-10
             checked += 1
+
+    @given(finite_point, st.one_of(st.none(), finite_point), st.data())
+    def test_bit_identical_to_the_legacy_formula(self, u, v, data):
+        try:
+            F = from_critical_values(u, v)
+        except ValueError:
+            assume(False)
+        w = data.draw(st.one_of(st.sampled_from([F.u, F.v]), any_value, near_value(F)))
+        got, want = F.preimages(w), legacy_preimages(F, w)
+        assert [bits(z) for z in got] == [bits(z) for z in want]
+        if got[0] is not None:  # the exact-negation invariant lifting relies on
+            assert bits(got[1]) == bits(-got[0])
 
     def test_preimages_are_negatives(self):
         F = from_critical_values(2j, 0.5 - 0.25j)
