@@ -139,18 +139,25 @@ def _run_id(alpha: Angle, beta: Angle, opts: IterateOptions) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _write_artifacts(
-    out_dir: Path,
-    run_id: str,
-    report: RunReport,
-    curves: list[DiscreteCurve],
-    render: bool,
-):
+def _dump_hook(out_dir: Path):
+    """A curve hook that writes each record's curve dump as the record is made.
+
+    Every curve ``iterate`` hands out matches its record: the level is the
+    record's n and the positions at the two value parameters are its u and v.
+    """
+
+    def write(curve: DiscreteCurve):
+        s = curve.schedule
+        u = curve.sample_at(s.black_value).position
+        v = curve.sample_at(s.red_value).position
+        (out_dir / f"curve-{curve.level:03d}.txt").write_text(dump_curve(curve, u, v))
+
+    return write
+
+
+def _write_artifacts(out_dir: Path, run_id: str, report: RunReport, render: bool):
+    """The artifacts written after the run: the report and the final curve."""
     (out_dir / "report.txt").write_text(format_report(report, run_id))
-    for curve, rec in zip(curves, report.records):
-        (out_dir / f"curve-{rec.n:03d}.txt").write_text(
-            dump_curve(curve, rec.u, rec.v)
-        )
     if report.final_curve is not None:
         last = report.records[-1] if report.records else None
         u = last.u if last else None
@@ -205,12 +212,11 @@ def cmd_mate(args) -> int:
             raise AngleError(
                 f"cannot use dump directory {dump_dir}: {exc.strerror or exc}"
             ) from exc
-    curves: list[DiscreteCurve] = []
-    hook = curves.append if out_dir is not None else None
+    hook = _dump_hook(out_dir) if out_dir is not None else None
     report = iterate(alpha, beta, opts, curve_hook=hook)
 
     if out_dir is not None:
-        _write_artifacts(out_dir, run_id, report, curves, args.render)
+        _write_artifacts(out_dir, run_id, report, args.render)
 
     print(f"run-id: {run_id}")
     for w in report.warnings:

@@ -599,56 +599,73 @@ def _sweep_clearance(g, a, b, c) -> float:
 def _deviation(prev, cur, nxt) -> float:
     """How far sample ``cur`` sticks out from the chord of its neighbors.
 
-    The distance in R^3 from ``cur`` to the segment ``prev``-``nxt``.
+    The distance in R^3 from ``cur`` to the segment ``prev``-``nxt``, taken
+    as ``math.hypot`` of the differences to the clamped chord point: bit for
+    bit what ``math.dist`` gives, without building two tuples.
     """
-    ab = (nxt[0] - prev[0], nxt[1] - prev[1], nxt[2] - prev[2])
-    ap = (cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2])
-    den = ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2]
+    px, py, pz = prev
+    cx, cy, cz = cur
+    ex, ey, ez = nxt[0] - px, nxt[1] - py, nxt[2] - pz
+    den = ex * ex + ey * ey + ez * ez
     if den == 0:
-        return math.dist(cur, prev)
-    t = (ap[0] * ab[0] + ap[1] * ab[1] + ap[2] * ab[2]) / den
+        return math.hypot(cx - px, cy - py, cz - pz)
+    t = ((cx - px) * ex + (cy - py) * ey + (cz - pz) * ez) / den
     t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-    return math.dist(cur, (prev[0] + t * ab[0], prev[1] + t * ab[1], prev[2] + t * ab[2]))
+    return math.hypot(cx - (px + t * ex), cy - (py + t * ey), cz - (pz + t * ez))
 
 
 def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     """Drop plumbing samples while the polyline stays clear of the marked set.
 
-    Samples are removed greedily by smallest deviation from the local chord;
-    a removal is refused when the swept triangle comes within ``tol`` of an
-    embedded postcritical position, so the homotopy type rel those points is
-    preserved.  Marked samples are never removed, and neither is a short
-    window of neighbors around each mark: the next pullback reads fork
-    directions from the samples adjacent to the critical-value marks, so
-    those must stay genuine rather than interpolated.
+    Samples are removed greedily by smallest deviation, the distance in R^3
+    from a sample's sphere point to the chord between its neighbors' (ties
+    go to the lower index); a removal is refused when the swept triangle
+    comes within ``tol`` of an embedded postcritical position, so the
+    homotopy type rel those points is preserved, and a refused sample is
+    retried once a neighbor is removed.  Marked samples are never removed,
+    and neither is a window of ``_MARK_WINDOW`` samples on each side of
+    every mark: the next pullback reads fork directions from the samples
+    adjacent to the critical-value marks, so those must stay genuine rather
+    than interpolated.  Raises ValueError when ``budget`` is below the
+    marked-sample count.
 
     A heap entry whose version is current holds its sample's exact deviation,
-    since a sample's neighbors change only together with its version.
+    since a sample's neighbors change only together with its version.  Prune
+    is the costliest layer of a pullback, so the set-up forms each finite
+    sample's sphere point inline, with the operations of
+    :func:`stereographic`.
     """
-    marked_count = sum(1 for s in c.samples if s.mark is not None)
-    if budget < marked_count:
-        raise ValueError(f"budget {budget} below the marked-sample count {marked_count}")
-    n = len(c.samples)
+    samples = c.samples
+    n = len(samples)
+    marked = [i for i, s in enumerate(samples) if s.mark is not None]
+    if budget < len(marked):
+        raise ValueError(f"budget {budget} below the marked-sample count {len(marked)}")
     if n <= budget:
         return c
 
-    pts = [stereographic(s.position) for s in c.samples]
-    guarded = [
-        pts[i]
-        for i, s in enumerate(c.samples)
-        if s.mark is not None and s.mark.point_id is not None
-    ]
+    pts = []
+    for s in samples:
+        z = s.position  # stereographic(z), inline for a finite complex z
+        if type(z) is complex:
+            try:
+                r2 = abs(z) ** 2
+            except OverflowError:
+                r2 = math.inf
+            if r2 < math.inf:
+                q = 1.0 + r2
+                pts.append((2.0 * z.real / q, 2.0 * z.imag / q, (1.0 - r2) / q))
+                continue
+        pts.append(stereographic(z))
+    guarded = [pts[i] for i in marked if samples[i].mark.point_id is not None]
     alive = [True] * n
-    prv = [(i - 1) % n for i in range(n)]
-    nxt = [(i + 1) % n for i in range(n)]
+    prv = [n - 1, *range(n - 1)]
+    nxt = [*range(1, n), 0]
     version = [0] * n
-    protected = [c.samples[i].mark is not None for i in range(n)]
-    for i in range(n):
-        if c.samples[i].mark is not None:
-            for off in range(1, _MARK_WINDOW + 1):
-                protected[(i - off) % n] = True
-                protected[(i + off) % n] = True
-    removable = [not protected[i] for i in range(n)]
+    protected = [False] * n
+    for i in marked:
+        for k in range(i - _MARK_WINDOW, i + _MARK_WINDOW + 1):
+            protected[k % n] = True
+    removable = [not p for p in protected]
 
     # entries (deviation, index, version) are unique by index and version, so
     # they are totally ordered and the pop order does not depend on how the
@@ -658,20 +675,22 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     ]
     heapq.heapify(heap)
 
+    dist, heappop, heappush = math.dist, heapq.heappop, heapq.heappush
     count = n
     while count > budget and heap:
-        _, i, ver = heapq.heappop(heap)
+        _, i, ver = heappop(heap)
         if not alive[i] or ver != version[i] or not removable[i]:
             continue
         a, b = prv[i], nxt[i]
+        pa, pi, pb = pts[a], pts[i], pts[b]
         # cheap reject: the swept patch stays inside the spherical hull of the
         # triangle, itself within twice the longest edge from the apex
-        reach = 2.0 * max(math.dist(pts[a], pts[i]), math.dist(pts[i], pts[b])) + tol
-        blocked = any(
-            math.dist(g, pts[i]) <= reach
-            and _sweep_clearance(g, pts[a], pts[i], pts[b]) <= tol
-            for g in guarded
-        )
+        reach = 2.0 * max(dist(pa, pi), dist(pi, pb)) + tol
+        blocked = False
+        for g in guarded:
+            if dist(g, pi) <= reach and _sweep_clearance(g, pa, pi, pb) <= tol:
+                blocked = True
+                break
         if blocked:
             removable[i] = False  # re-enabled if a neighbor is removed
             continue
@@ -682,11 +701,9 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
             version[j] += 1
             if not protected[j]:
                 removable[j] = True
-                heapq.heappush(
-                    heap, (_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j])
-                )
+                heappush(heap, (_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j]))
 
-    kept = tuple(s for i, s in enumerate(c.samples) if alive[i])
+    kept = tuple(s for s, keep in zip(samples, alive) if keep)
     return DiscreteCurve(samples=kept, level=c.level, schedule=c.schedule)
 
 
@@ -785,7 +802,8 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
     confirming step usually ends the run ``converged``; a refused one adds
     nothing and the pullback continues from where it was.  ``curve_hook``
     receives the curve of each record as it is added, except the record of a
-    collision.
+    collision; the curve's level is the record's n, and its positions at the
+    schedule's two value parameters are the record's u and v.
     """
     report = RunReport(alpha=alpha, beta=beta, status="", options=asdict(opts))
     reason = structural_gates(alpha, beta)

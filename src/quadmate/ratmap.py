@@ -29,32 +29,40 @@ def as_point(z: SpherePoint) -> SpherePoint:
     return z
 
 
+def _on_sphere(z: SpherePoint) -> tuple[SpherePoint, float]:
+    """``as_point(z)`` with its |z|^2, taken as ``abs(z) ** 2``.
+
+    A finite point past the overflow bound (|z| above about 1.34e154, where
+    ``abs(z) ** 2`` raises) counts as infinity, the limit it stands next to.
+    """
+    z = as_point(z)
+    if z is not None:
+        try:
+            return z, abs(z) ** 2
+        except OverflowError:
+            pass
+    return None, float("inf")
+
+
 def chordal(a: SpherePoint, b: SpherePoint) -> float:
     """Chordal distance on the sphere, range [0, 2]; 2 between antipodes."""
     if type(a) is complex and type(b) is complex:
-        d = abs(a - b)
-        if d < float("inf"):
-            return 2.0 * d / (
-                (1.0 + a.real * a.real + a.imag * a.imag)
-                * (1.0 + b.real * b.real + b.imag * b.imag)
-            ) ** 0.5
-    a, b = as_point(a), as_point(b)
+        qa = 1.0 + a.real * a.real + a.imag * a.imag
+        qb = 1.0 + b.real * b.real + b.imag * b.imag
+        if qa < float("inf") and qb < float("inf"):
+            return 2.0 * abs(a - b) / (qa * qb) ** 0.5
+    (a, na), (b, nb) = _on_sphere(a), _on_sphere(b)
     if a is None and b is None:
         return 0.0
-    if a is None:
-        a, b = b, a
-    if b is None:
-        return 2.0 / (1.0 + abs(a) ** 2) ** 0.5
-    return 2.0 * abs(a - b) / ((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2)) ** 0.5
+    if a is None or b is None:
+        return 2.0 / (1.0 + (nb if a is None else na)) ** 0.5
+    return 2.0 * abs(a - b) / ((1.0 + na) * (1.0 + nb)) ** 0.5
 
 
 def stereographic(z: SpherePoint) -> tuple[float, float, float]:
     """Embed onto the unit sphere: 0 at the north pole, infinity at the south."""
-    z = as_point(z)
+    z, n = _on_sphere(z)
     if z is None:
-        return (0.0, 0.0, -1.0)
-    n = abs(z) ** 2
-    if not (n < float("inf")):
         return (0.0, 0.0, -1.0)
     s = 1.0 + n
     return (2.0 * z.real / s, 2.0 * z.imag / s, (1.0 - n) / s)

@@ -132,6 +132,31 @@ class TestMate:
         report = (run_dir / "report.txt").read_text()
         assert f"run-id {run_dir.name}" in report
 
+    def test_curve_dumps_written_as_records_are_made(self, tmp_path, capsys, monkeypatch):
+        # each record's dump is on disk before the next record is made, and
+        # carries the level and (u, v) of its record
+        real, seen = quadmate.cli.iterate, []
+
+        def watching(alpha, beta, opts, curve_hook=None):
+            def hook(curve):
+                curve_hook(curve)
+                seen.append(sorted(p.name for p in tmp_path.glob("*/curve-*.txt")))
+
+            return real(alpha, beta, opts, curve_hook=hook)
+
+        monkeypatch.setattr(quadmate.cli, "iterate", watching)
+        code = main(["mate", "1/4", "1/8", "--iters", "2", "--tol", "0", "--samples", "8",
+                     "--budget", "128", "--dump", str(tmp_path)])
+        assert code == EXIT_OK
+        names = [f"curve-{n:03d}.txt" for n in range(3)]
+        assert seen == [names[:1], names[:2], names]
+        (run_dir,) = list(tmp_path.iterdir())
+        for n, name in enumerate(names):
+            curve, u, v = load_curve((run_dir / name).read_text())
+            assert curve.level == n
+            assert u == curve.sample_at(curve.schedule.black_value).position
+            assert v == curve.sample_at(curve.schedule.red_value).position
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         args = ["mate", "1/4", "1/8", "--iters", "2", "--tol", "0", "--render"]
         d1, d2 = tmp_path / "one", tmp_path / "two"

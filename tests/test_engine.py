@@ -1,6 +1,7 @@
 """Curve embedding, lifting, pruning, and the full iteration."""
 
 import cmath
+import heapq
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from quadmate.angles import Angle, midpoint, reduce
 from quadmate.combinatorics import (
     Mark,
     MarkKind,
+    Schedule,
     base_schedule,
     pullback_schedule,
 )
@@ -30,7 +32,7 @@ from quadmate.engine import (
     structural_gates,
 )
 from quadmate.errors import BranchTrackingError, StructuralError
-from quadmate.ratmap import chordal, from_critical_values
+from quadmate.ratmap import chordal, from_critical_values, stereographic
 
 A14, A18 = Angle(1, 4), Angle(1, 8)
 
@@ -93,6 +95,119 @@ def reference_lift_arc(F, entries):
     for t1, z1 in entries[1:]:
         reference_lift_step(F, out, out[-1][0], out[-1][1], t1, z1, engine._MAX_REFINE)
     return out
+
+
+def reference_deviation(prev, cur, nxt) -> float:
+    """``engine._deviation`` as it was before it took the tuples apart."""
+    ab = (nxt[0] - prev[0], nxt[1] - prev[1], nxt[2] - prev[2])
+    ap = (cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2])
+    den = ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2]
+    if den == 0:
+        return math.dist(cur, prev)
+    t = (ap[0] * ab[0] + ap[1] * ab[1] + ap[2] * ab[2]) / den
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    return math.dist(cur, (prev[0] + t * ab[0], prev[1] + t * ab[1], prev[2] + t * ab[2]))
+
+
+def reference_prune(c, budget, tol):
+    """``engine.prune`` as it was written with one ``stereographic`` call a sample."""
+    marked_count = sum(1 for s in c.samples if s.mark is not None)
+    if budget < marked_count:
+        raise ValueError(f"budget {budget} below the marked-sample count {marked_count}")
+    n = len(c.samples)
+    if n <= budget:
+        return c
+
+    pts = [stereographic(s.position) for s in c.samples]
+    guarded = [
+        pts[i]
+        for i, s in enumerate(c.samples)
+        if s.mark is not None and s.mark.point_id is not None
+    ]
+    alive = [True] * n
+    prv = [(i - 1) % n for i in range(n)]
+    nxt = [(i + 1) % n for i in range(n)]
+    version = [0] * n
+    protected = [c.samples[i].mark is not None for i in range(n)]
+    for i in range(n):
+        if c.samples[i].mark is not None:
+            for off in range(1, engine._MARK_WINDOW + 1):
+                protected[(i - off) % n] = True
+                protected[(i + off) % n] = True
+    removable = [not protected[i] for i in range(n)]
+
+    heap = [
+        (reference_deviation(pts[prv[i]], pts[i], pts[nxt[i]]), i, 0)
+        for i in range(n)
+        if removable[i]
+    ]
+    heapq.heapify(heap)
+
+    count = n
+    while count > budget and heap:
+        _, i, ver = heapq.heappop(heap)
+        if not alive[i] or ver != version[i] or not removable[i]:
+            continue
+        a, b = prv[i], nxt[i]
+        reach = 2.0 * max(math.dist(pts[a], pts[i]), math.dist(pts[i], pts[b])) + tol
+        blocked = any(
+            math.dist(g, pts[i]) <= reach
+            and engine._sweep_clearance(g, pts[a], pts[i], pts[b]) <= tol
+            for g in guarded
+        )
+        if blocked:
+            removable[i] = False
+            continue
+        alive[i] = False
+        count -= 1
+        nxt[a], prv[b] = b, a
+        for j in (a, b):
+            version[j] += 1
+            if not protected[j]:
+                removable[j] = True
+                heapq.heappush(
+                    heap, (reference_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j])
+                )
+
+    kept = tuple(s for i, s in enumerate(c.samples) if alive[i])
+    return DiscreteCurve(samples=kept, level=c.level, schedule=c.schedule)
+
+
+def synthetic_curve(positions, marks):
+    """A closed curve through ``positions`` at parameters k/n.
+
+    ``marks`` maps a sample index to the postcritical point id it carries, or
+    to None for an unguarded (plumbing) mark.
+    """
+    n = len(positions)
+    samples = []
+    for k, z in enumerate(positions):
+        t = reduce(k, n)
+        if k not in marks:
+            samples.append(CurveSample(t, z))
+            continue
+        pid = marks[k]
+        kind = MarkKind.PLUMBING if pid is None else MarkKind.POSTCRITICAL
+        samples.append(CurveSample(t, z, Mark(t, kind, pid)))
+    schedule = Schedule(
+        marks=tuple(s.mark for s in samples if s.mark is not None),
+        level=0,
+        base_points=tuple(
+            (s.parameter, s.mark.point_id)
+            for s in samples
+            if s.mark is not None and s.mark.point_id is not None
+        ),
+        black_value=samples[0].parameter,
+        red_value=samples[0].parameter,
+    )
+    return DiscreteCurve(samples=tuple(samples), level=0, schedule=schedule)
+
+
+def assert_prunes_like_the_reference(c, budget, tol):
+    got, want = prune(c, budget, tol), reference_prune(c, budget, tol)
+    assert len(got.samples) == len(want.samples)
+    assert all(x is y for x, y in zip(got.samples, want.samples))
+    return got
 
 
 def _bits(z):
@@ -441,6 +556,145 @@ class TestPrune:
             assert after >= before - 2 * tol
 
 
+# curve positions over the whole float range: past about 1.34e154 |z|^2
+# overflows and the point counts as infinity
+position = st.one_of(
+    st.none(),
+    st.sampled_from([0j, -0.0 + 0j, complex(math.inf, 0.0), complex(math.nan, 1.0), 0.5]),
+    st.builds(
+        lambda e, phase: 10.0**e * cmath.exp(1j * phase),
+        st.floats(min_value=-320, max_value=308),
+        st.floats(min_value=0, max_value=2 * math.pi),
+    ),
+)
+
+
+def _budgets(c):
+    n = len(c.samples)
+    marked = len(c.marked())
+    return [n - 1, (n + marked) // 2, marked]
+
+
+class TestPruneOracle:
+    @pytest.mark.parametrize(
+        "alpha,beta,opts,status",
+        [
+            # at the default density the curve first outgrows the budget at
+            # pullback 4, so these are three pullbacks that prune
+            (A14, A18, IterateOptions(max_iters=6, tol=0.0), "max-iterations"),
+            (A14, A14, IterateOptions(max_iters=6, tol=0.0), "max-iterations"),
+            # every pullback of a census pair, up to its collision
+            (
+                reduce(1, 10),
+                reduce(19, 20),
+                IterateOptions(max_iters=20, samples_per_arc=32, budget=2048),
+                "diverged",
+            ),
+        ],
+    )
+    def test_pullback_prunes_match_the_reference(self, alpha, beta, opts, status, monkeypatch):
+        engine_prune = engine.prune
+        calls = []
+
+        def recording(c, budget, tol):
+            out = engine_prune(c, budget, tol)
+            calls.append((c, budget, tol, out))
+            return out
+
+        monkeypatch.setattr(engine, "prune", recording)
+        report = iterate(alpha, beta, opts)
+        assert report.status == status
+        assert len(calls) == report.records[-1].n
+        assert sum(len(out.samples) < len(c.samples) for c, _, _, out in calls) >= 3
+        for c, budget, tol, out in calls:
+            want = reference_prune(c, budget, tol)
+            assert len(out.samples) == len(want.samples)
+            assert all(x is y for x, y in zip(out.samples, want.samples))
+
+    @given(st.lists(position, min_size=3, max_size=12))
+    def test_sphere_points_are_stereographic(self, positions):
+        # with no marks every sample is removable, so the first heap takes
+        # one deviation a sample, in index order, with its sphere point as cur
+        deviation, seen = engine._deviation, []
+
+        def recording(prev, cur, nxt):
+            seen.append(cur)
+            return deviation(prev, cur, nxt)
+
+        c = synthetic_curve(positions, {})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_deviation", recording)
+            prune(c, len(positions) - 1, 1e-6)
+        got = [tuple(x.hex() for x in p) for p in seen[: len(positions)]]
+        assert got == [tuple(x.hex() for x in stereographic(z)) for z in positions]
+
+    def test_repeated_positions_tie_on_the_index(self):
+        # runs of equal positions: a chord between equal neighbours has
+        # length zero, and every deviation in a run is exactly 0, so the
+        # index alone decides which goes first
+        base = [cmath.exp(2j * cmath.pi * k / 16) for k in range(16)]
+        positions = [p for k, p in enumerate(base) for _ in range(1 + k % 4)]
+        c = synthetic_curve(positions, {0: 1, 20: 2})
+        for budget in _budgets(c):
+            assert_prunes_like_the_reference(c, budget, 1e-6)
+        # the lowest-index sample of deviation 0 goes first
+        first = assert_prunes_like_the_reference(c, len(positions) - 1, 1e-6)
+        (gone,) = set(c.samples) - set(first.samples)
+        assert c.samples.index(gone) == 9
+
+    def test_samples_at_zero_and_infinity(self):
+        # the real line through 0 and infinity, with infinity written as
+        # None, as non-finite values and as finite values past the overflow
+        # bound of |z|^2; all of them sit at the south pole
+        n = 48
+        positions = [complex(math.tan(math.pi * k / n), 0.0) for k in range(n)]
+        positions[0] = positions[30] = 0j
+        far = {21: 1e155 + 0j, 22: 1e200 + 0j, 23: complex(math.inf, 0.0), 24: None,
+               25: complex(math.nan, math.nan), 26: -1e200 + 0j, 27: complex(-1e160, 1e160)}
+        for k, z in far.items():
+            positions[k] = z
+        c = synthetic_curve(positions, {0: 1, 12: 2})
+        for budget in _budgets(c):
+            assert_prunes_like_the_reference(c, budget, 1e-6)
+
+    def test_blocked_sample_is_retried_after_a_neighbour_goes(self):
+        # only samples 19 (B) and 20 (C) lie outside the mark windows.  B has
+        # the smaller deviation, but its sweep covers the guarded sample 0
+        # (G), so it is refused; removing C turns B's chord, which then
+        # clears G, so B goes too
+        g, h = 0.5 + 0j, 1e-3
+        positions = [g + 0.3 * cmath.exp(2j * cmath.pi * k / 40) for k in range(40)]
+        positions[0] = g
+        positions[18:22] = [g + h * (-1 - 1j), g + h * 1j, g + h * (1 - 1j), g + h * (2 + 3j)]
+        c = synthetic_curve(positions, {0: 1, 10: None, 29: None})
+        pts = [stereographic(z) for z in positions]
+        assert engine._sweep_clearance(pts[0], pts[18], pts[19], pts[20]) <= 1e-6
+        assert reference_deviation(pts[18], pts[19], pts[20]) < reference_deviation(
+            pts[19], pts[20], pts[21]
+        )
+        for budget in _budgets(c):
+            assert_prunes_like_the_reference(c, budget, 1e-6)
+        one = assert_prunes_like_the_reference(c, 39, 1e-6)
+        assert c.samples[20] not in one.samples and c.samples[19] in one.samples
+        out = assert_prunes_like_the_reference(c, 3, 1e-6)
+        assert len(out.samples) == 38
+
+    def test_overlapping_windows_across_index_zero(self):
+        # marks at 1 and 45 (their windows overlap across index 0) and at 10
+        # and 20 (overlapping); with the budget at the marked count exactly
+        # the samples outside every window go
+        n = 64
+        positions = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
+        marks = {1: 1, 10: None, 20: 2, 45: None}
+        c = synthetic_curve(positions, marks)
+        w = engine._MARK_WINDOW
+        protected = {(i + off) % n for i in marks for off in range(-w, w + 1)}
+        for budget in _budgets(c):
+            assert_prunes_like_the_reference(c, budget, 1e-6)
+        out = assert_prunes_like_the_reference(c, len(marks), 1e-6)
+        assert [c.samples.index(s) for s in out.samples] == sorted(protected)
+
+
 class TestIterate:
     def test_example_one_is_a_fixed_point(self):
         report = iterate(A14, A14, IterateOptions(max_iters=3, tol=0.0, samples_per_arc=32))
@@ -490,6 +744,20 @@ class TestIterate:
             # the stitched arcs concatenate in order; nothing sorts them
             params = [s.parameter for s in c.samples]
             assert all(a < b for a, b in zip(params, params[1:]))
+
+    def test_hooked_curves_match_their_records(self):
+        # the CLI writes each curve dump from the hook, reading n, u and v
+        # off the curve itself, so every curve must carry its record's values
+        curves = []
+        opts = IterateOptions(max_iters=40, tol=1e-9, samples_per_arc=8, budget=128)
+        report = iterate(A14, A18, opts, curve_hook=curves.append)
+        assert report.status == "converged"
+        assert [r.phase for r in report.records[-2:]] == ["newton", "confirm"]
+        assert len(curves) == len(report.records)
+        for c, rec in zip(curves, report.records):
+            assert c.level == rec.n
+            assert _bits(c.sample_at(c.schedule.black_value).position) == _bits(rec.u)
+            assert _bits(c.sample_at(c.schedule.red_value).position) == _bits(rec.v)
 
     def test_relabel_covers_every_point_id(self):
         report = iterate(A14, A18, IterateOptions(max_iters=1, tol=0.0, samples_per_arc=32))

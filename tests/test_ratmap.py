@@ -100,6 +100,71 @@ def near_value(F):
     )
 
 
+def legacy_chordal(a, b):
+    """``chordal`` as written before a point past the overflow bound counted as infinity."""
+    if type(a) is complex and type(b) is complex:
+        d = abs(a - b)
+        if d < float("inf"):
+            return 2.0 * d / (
+                (1.0 + a.real * a.real + a.imag * a.imag)
+                * (1.0 + b.real * b.real + b.imag * b.imag)
+            ) ** 0.5
+    a, b = as_point(a), as_point(b)
+    if a is None and b is None:
+        return 0.0
+    if a is None:
+        a, b = b, a
+    if b is None:
+        return 2.0 / (1.0 + abs(a) ** 2) ** 0.5
+    return 2.0 * abs(a - b) / ((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2)) ** 0.5
+
+
+def legacy_stereographic(z):
+    """``stereographic`` as written before the same change."""
+    z = as_point(z)
+    if z is None:
+        return (0.0, 0.0, -1.0)
+    n = abs(z) ** 2
+    if not (n < float("inf")):
+        return (0.0, 0.0, -1.0)
+    s = 1.0 + n
+    return (2.0 * z.real / s, 2.0 * z.imag / s, (1.0 - n) / s)
+
+
+# any sphere point below the overflow bound of |z|^2: magnitudes from
+# subnormal to 1e150, exact zeros of either sign, infinity and non-finite
+# values, and plain floats
+below_bound = st.one_of(
+    st.none(),
+    st.sampled_from([0j, -0.0 + 0j, complex(0.0, -0.0), complex(math.inf, 0.0),
+                     complex(math.nan, 1.0), 1e150 + 1e150j, 0.0, 1.0]),
+    st.builds(
+        lambda e, phase: 10.0**e * cmath.exp(1j * phase),
+        st.floats(min_value=-320, max_value=150),
+        st.floats(min_value=0, max_value=2 * math.pi),
+    ),
+    st.builds(
+        complex,
+        st.floats(min_value=-1e150, max_value=1e150),
+        st.floats(min_value=-1e150, max_value=1e150),
+    ),
+    finite_point,
+)
+# finite points past the bound, where abs(z) ** 2 (or abs(z) itself) overflows
+past_bound = st.one_of(
+    st.sampled_from([1e200 + 0j, complex(-1e160, 1e160), complex(1.5e308, 1.5e308)]),
+    st.builds(
+        lambda e, phase: 10.0**e * cmath.exp(1j * phase),
+        st.floats(min_value=155, max_value=308),
+        st.floats(min_value=0, max_value=2 * math.pi),
+    ),
+)
+
+
+def sphere_bits(p):
+    return tuple(x.hex() for x in p)
+
+
 class TestConstruction:
     def test_example_map_coefficients(self):
         F = from_critical_values(1j, -1j)
@@ -210,6 +275,22 @@ class TestChordal:
         huge = complex(1e200, 1e200)
         assert chordal(huge * huge, None) == 0.0
 
+    @given(below_bound, below_bound)
+    def test_bit_identical_to_the_legacy_formula_below_the_bound(self, a, b):
+        assert chordal(a, b).hex() == legacy_chordal(a, b).hex()
+
+    @given(past_bound, below_bound, past_bound)
+    def test_past_the_bound_is_infinity(self, a, b, c):
+        # the limit as |a| grows: the distance from infinity
+        assert chordal(a, b) == chordal(b, a) == chordal(None, b)
+        assert chordal(a, c) == 0.0
+
+    def test_past_the_bound_examples(self):
+        assert chordal(1e200 + 0j, None) == 0.0
+        assert chordal(1e200 + 0j, 1 + 0j) == chordal(None, 1 + 0j) == 2.0 / 2.0**0.5
+        assert chordal(1e200 + 0j, -1e200 + 0j) == 0.0
+        assert chordal(1e-3 + 0j, complex(1e160, 1e160)) == chordal(1e-3 + 0j, None)
+
 
 class TestStereographic:
     def test_pole_conventions(self):
@@ -230,6 +311,16 @@ class TestStereographic:
 
     def test_infinity_round_trip(self):
         assert from_sphere(stereographic(None)) is None
+
+    @given(below_bound)
+    def test_bit_identical_to_the_legacy_formula_below_the_bound(self, z):
+        assert sphere_bits(stereographic(z)) == sphere_bits(legacy_stereographic(z))
+
+    @given(past_bound)
+    def test_past_the_bound_is_the_south_pole(self, z):
+        assert stereographic(z) == (0.0, 0.0, -1.0)
+        with pytest.raises(OverflowError):
+            legacy_stereographic(z)
 
 
 class TestEval:

@@ -7,9 +7,16 @@ import pytest
 
 from quadmate.angles import Angle
 from quadmate.combinatorics import base_schedule, pullback_schedule
-from quadmate.engine import init_embedding, pullback_curve, read_critical_values
+from quadmate.engine import (
+    CurveSample,
+    DiscreteCurve,
+    init_embedding,
+    pullback_curve,
+    read_critical_values,
+)
 from quadmate.ratmap import from_critical_values
 from quadmate.render import DEFAULT_VIEWS, render_sphere, render_views
+from quadmate.serialize import dump_curve, load_curve
 
 A14, A18 = Angle(1, 4), Angle(1, 8)
 
@@ -83,3 +90,16 @@ class TestRenderViews:
         views = render_views(level0)
         assert sorted(views) == ["equator-front", "oblique", "poles-front"]
         assert len({v for v in views.values()}) == 3
+
+    def test_loaded_dump_past_the_overflow_bound(self, level0):
+        # a dump may hold finite positions whose |z|^2 overflows; they draw
+        # where infinity does
+        samples = list(level0.samples)
+        k = next(i for i, smp in enumerate(samples) if smp.mark is None)
+        samples[k] = CurveSample(samples[k].parameter, 1e200 + 0j)
+        far = DiscreteCurve(tuple(samples), level0.level, level0.schedule)
+        samples[k] = CurveSample(samples[k].parameter, None)
+        at_inf = DiscreteCurve(tuple(samples), level0.level, level0.schedule)
+        loaded, _, _ = load_curve(dump_curve(far))
+        assert loaded.samples[k].position == 1e200 + 0j
+        assert render_views(loaded) == render_views(at_inf)
