@@ -43,6 +43,8 @@ EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
 _DUMP_ENV = "QUADMATE_DUMP_DIR"
+# the most marks ``schedule`` prints; each level doubles the count
+_MARK_CAP = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,6 +119,13 @@ def cmd_schedule(args) -> int:
         raise AngleError("--level must be nonnegative")
     try:
         s = base_schedule(alpha, beta)
+        # refused before any doubling; a level past the cap's bit length is
+        # refused outright, so the shift stays small
+        if args.level >= _MARK_CAP.bit_length() or len(s.marks) << args.level > _MARK_CAP:
+            raise AngleError(
+                f"--level {args.level} would exceed {_MARK_CAP} marks "
+                f"for ({alpha}, {beta}), which have {len(s.marks)} at level 0"
+            )
         for _ in range(args.level):
             s = pullback_schedule(s, alpha, beta)
     except StructuralError as exc:

@@ -3,9 +3,12 @@
 Two filled Julia sets are glued along opposing external angles: the black
 angle t meets the red angle 1 - t, and the glued ray carries curve parameter
 t.  Closing this gluing under co-landing within each polynomial yields the
-ray-equivalence classes; the classes that survive the essential-mating
-collapse decide whether the candidate pseudo-equator stays a Jordan curve and
-whether the induced subdivision structure is finite.
+ray-equivalence classes: the components over gluing and co-landing classes,
+built in one pass, where two rays of one polynomial land at the same point
+exactly when they share a (cached) co-landing class.  The classes that
+survive the essential-mating collapse decide whether the candidate
+pseudo-equator stays a Jordan curve and whether the induced subdivision
+structure is finite.
 
 The second half of the module turns the same data into mark schedules: the
 level-0 schedule lists the postcritical parameters on the initial curve, and
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .angles import Angle, reduce
+from .angles import Angle
 from .errors import AngleError, StructuralError
+# same_landing is unused here, but perfbench/worker.py wraps this name to count calls
 from .lamination import colanding_class, same_landing
 
 ZERO = Angle(0, 1)
@@ -68,7 +72,11 @@ class _RaySystem:
 
     Tracked set: both critical orbits and critical-point halves, closed under
     gluing, doubling and same-side co-landing.  Classes are the connected
-    components under gluing plus co-landing.
+    components under gluing plus co-landing, built in one worklist pass: each
+    class is the component of an untracked angle, reached through glue
+    partners and whole co-landing classes, and the doubles of its members
+    seed the next.  The cached co-landing class is the one definition of
+    "same landing point" (:meth:`same_point`, :meth:`point_groups`).
     """
 
     def __init__(self, alpha: Angle, beta: Angle):
@@ -93,47 +101,33 @@ class _RaySystem:
         return self._coland_cache[sa]
 
     def _build(self):
-        seeds = [SideAngle(s, a) for s in Side for a in sorted(self._critical[s])]
+        pending = [SideAngle(s, a) for s in Side for a in sorted(self._critical[s])]
         tracked: set[SideAngle] = set()
-        pending = list(seeds)
+        classes: list[frozenset[SideAngle]] = []
         while pending:
-            sa = pending.pop()
-            if sa in tracked:
+            seed = pending.pop()
+            if seed in tracked:
                 continue
-            tracked.add(sa)
-            if len(tracked) > _TRACKED_CAP:
-                raise StructuralError(
-                    "ray closure overflow",
-                    f"more than {_TRACKED_CAP} tracked angles for ({self.alpha}, {self.beta})",
-                )
-            pending.append(sa.glue_partner())
-            pending.append(sa.double())
-            pending.extend(SideAngle(sa.side, a) for a in self._coland(sa))
+            block, frontier = [], [seed]
+            while frontier:
+                x = frontier.pop()
+                if x in tracked:
+                    continue
+                for a in self._coland(x):
+                    y = SideAngle(x.side, a)
+                    tracked.add(y)
+                    if len(tracked) > _TRACKED_CAP:
+                        raise StructuralError(
+                            "ray closure overflow",
+                            f"more than {_TRACKED_CAP} tracked angles for ({self.alpha}, {self.beta})",
+                        )
+                    block.append(y)
+                    frontier.append(y.glue_partner())
+            classes.append(frozenset(block))
+            pending.extend(y.double() for y in block)
         self.tracked = tracked
-
-        parent: dict[SideAngle, SideAngle] = {sa: sa for sa in tracked}
-
-        def find(x: SideAngle) -> SideAngle:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: SideAngle, y: SideAngle):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for sa in tracked:
-            union(sa, sa.glue_partner())
-            for a in self._coland(sa):
-                union(sa, SideAngle(sa.side, a))
-
-        blocks: dict[SideAngle, set[SideAngle]] = {}
-        for sa in tracked:
-            blocks.setdefault(find(sa), set()).add(sa)
-        ordered = sorted(blocks.values(), key=lambda b: min(b, key=SideAngle.sort_key).sort_key())
-        self.classes: tuple[frozenset[SideAngle], ...] = tuple(frozenset(b) for b in ordered)
+        classes.sort(key=lambda b: min(b, key=SideAngle.sort_key).sort_key())
+        self.classes: tuple[frozenset[SideAngle], ...] = tuple(classes)
         self.index = {sa: i for i, c in enumerate(self.classes) for sa in c}
 
         self.image = tuple(self._image_of(c) for c in self.classes)
@@ -151,19 +145,14 @@ class _RaySystem:
 
     def same_point(self, x: SideAngle, y: SideAngle) -> bool:
         """Same landing point of the same polynomial (pre-collapse identity)."""
-        return x.side is y.side and same_landing(self._theta[x.side], x.angle, y.angle)
+        return x.side is y.side and y.angle in self._coland(x)
 
     def point_groups(self, cls: frozenset[SideAngle]) -> list[frozenset[SideAngle]]:
-        """Members of ``cls`` bucketed by landing point."""
-        groups: list[set[SideAngle]] = []
+        """Members of ``cls`` bucketed by landing point, in order of first member."""
+        groups: dict[tuple[Side, frozenset[Angle]], set[SideAngle]] = {}
         for sa in sorted(cls, key=SideAngle.sort_key):
-            for g in groups:
-                if self.same_point(sa, next(iter(g))):
-                    g.add(sa)
-                    break
-            else:
-                groups.append({sa})
-        return [frozenset(g) for g in groups]
+            groups.setdefault((sa.side, self._coland(sa)), set()).add(sa)
+        return [frozenset(g) for g in groups.values()]
 
     def _is_l(self, cls: frozenset[SideAngle]) -> bool:
         # a landing class in the sense that matters: two or more distinct
@@ -219,32 +208,21 @@ def essential_classes(alpha: Angle, beta: Angle) -> tuple[EssentialClass, ...]:
     """
     sys = _ray_system(alpha, beta)
     post = [sa for sa in sorted(sys.tracked, key=SideAngle.sort_key) if sys.is_postcritical(sa)]
-    blocks: list[set[SideAngle]] = []
-    placed: set[SideAngle] = set()
+    blocks: list[frozenset[SideAngle]] = []
+    block_of: dict[SideAngle, int] = {}
     for sa in post:
-        if sa in placed:
+        if sa in block_of:
             continue
         i = sys.index[sa]
         if sys.essential[i]:
-            block = {x for x in sys.classes[i] if sys.is_postcritical(x)}
+            block = frozenset(x for x in sys.classes[i] if sys.is_postcritical(x))
         else:
-            block = {x for x in post if sys.same_point(sa, x)}
+            block = frozenset(x for x in post if sys.same_point(sa, x))
+        block_of.update(dict.fromkeys(block, len(blocks)))
         blocks.append(block)
-        placed |= block
-    order = {min(b, key=SideAngle.sort_key): k for k, b in enumerate(blocks)}
-
-    def block_index(member: SideAngle) -> int:
-        for k, b in enumerate(blocks):
-            if member in b:
-                return k
-        raise AssertionError("postcritical angle escaped its partition")
-
+    # the doubles of postcritical angles are postcritical, so every image is placed
     return tuple(
-        EssentialClass(
-            members=frozenset(b),
-            image=block_index(next(iter(b)).double()),
-        )
-        for b in blocks
+        EssentialClass(members=b, image=block_of[next(iter(b)).double()]) for b in blocks
     )
 
 

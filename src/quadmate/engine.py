@@ -276,21 +276,23 @@ def _lift_step(F, out, t0, prev, t1, z1, depth) -> SpherePoint:
     both candidates to ``prev`` share one denominator.  The distances are
     formed once, as the same quotients in the same order that ``chordal``
     forms, so they are bit-identical to it; a point at infinity, or a
-    difference that overflows, goes through ``chordal`` itself.
+    difference, square or product that overflows, goes through ``chordal``
+    itself.
     """
     plus, minus = F.preimages(z1)
     if plus is not None and prev is not None:
         split, r = abs(plus - minus), abs(prev)
         dp, dm = abs(plus - prev), abs(minus - prev)
-    if plus is None or prev is None or not split + r + dp + dm < math.inf:
+        pp = 1.0 + plus.real * plus.real + plus.imag * plus.imag
+        qq = 1.0 + prev.real * prev.real + prev.imag * prev.imag
+        p2, pq = pp * pp, pp * qq
+    if plus is None or prev is None or not split + dp + dm + r * r + p2 + pq < math.inf:
         split = chordal(plus, minus)
         at_zero, at_inf = chordal(prev, 0.0 + 0.0j), chordal(prev, None)
         dp, dm = chordal(plus, prev), chordal(minus, prev)
     else:
-        pp = 1.0 + plus.real * plus.real + plus.imag * plus.imag
-        qq = 1.0 + prev.real * prev.real + prev.imag * prev.imag
-        den = (pp * qq) ** 0.5
-        split = 2.0 * split / (pp * pp) ** 0.5
+        den = pq ** 0.5
+        split = 2.0 * split / p2 ** 0.5
         at_zero, at_inf = 2.0 * r / qq ** 0.5, 2.0 / (1.0 + r**2) ** 0.5
         dp, dm = 2.0 * dp / den, 2.0 * dm / den
     if split < 1e-12:
@@ -372,29 +374,23 @@ def pullback_curve(
     ``a.half(0)`` and ``a.half(1)``, and refinement inserts arc midpoints.
     The parent's parameters ascend from 0, so the child traversal ascends
     too (lap 0 fills [0, 1/2), lap 1 fills [1/2, 1)), and every midpoint lies
-    strictly between its neighbours.  Hence each child mark is found by
-    bisection over the parent, the arc heads are the only marked samples, and
-    the stitched arcs concatenate in ascending order.
+    strictly between its neighbours.  Hence the child marks sit at the
+    parent's marked samples on each lap, the arc heads are the only marked
+    samples, and the stitched arcs concatenate in ascending order.
     """
     # child traversal: two laps over the parent, parameters halved
     params = [smp.parameter.half(0) for smp in c.samples]
     params += [smp.parameter.half(1) for smp in c.samples]
     positions = [smp.position for smp in c.samples] * 2
 
-    boundaries: list[int] = []
-    arc_marks: list[Mark] = []
-    for m in s_next.marks:
-        # the child parameter t is the half of the parent's 2t on the lap
-        # that contains t
-        t = m.parameter
-        try:
-            k = c.index(t.double())
-        except KeyError:
-            continue
-        lap = 1 if 2 * t.num >= t.den else 0
-        boundaries.append(lap * len(c.samples) + k)
-        arc_marks.append(m)
-    if not boundaries or params[boundaries[0]] != ZERO:
+    # the child marks are the halves of the parent's marks in order, lap 0
+    # then lap 1, so they sit at the parent's marked indices on each lap
+    marked = [k for k, smp in enumerate(c.samples) if smp.mark is not None]
+    boundaries = marked + [k + len(c.samples) for k in marked]
+    arc_marks = s_next.marks
+    if len(boundaries) != len(arc_marks):
+        raise AssertionError("child schedule does not halve the parent's marks")
+    if params[boundaries[0]] != ZERO:
         raise AssertionError("child traversal lost its anchor mark")
     arcs: list[list[tuple[Angle, SpherePoint]]] = []
     for k, start in enumerate(boundaries):
@@ -665,13 +661,14 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     for i in marked:
         for k in range(i - _MARK_WINDOW, i + _MARK_WINDOW + 1):
             protected[k % n] = True
-    removable = [not p for p in protected]
 
     # entries (deviation, index, version) are unique by index and version, so
     # they are totally ordered and the pop order does not depend on how the
-    # heap was built
+    # heap was built.  Each is pushed once and consumed when popped, and a
+    # removed sample is unlinked, so its version never moves again: an entry
+    # is live exactly when its version is current
     heap = [
-        (_deviation(pts[prv[i]], pts[i], pts[nxt[i]]), i, 0) for i in range(n) if removable[i]
+        (_deviation(pts[prv[i]], pts[i], pts[nxt[i]]), i, 0) for i in range(n) if not protected[i]
     ]
     heapq.heapify(heap)
 
@@ -679,7 +676,7 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     count = n
     while count > budget and heap:
         _, i, ver = heappop(heap)
-        if not alive[i] or ver != version[i] or not removable[i]:
+        if ver != version[i]:
             continue
         a, b = prv[i], nxt[i]
         pa, pi, pb = pts[a], pts[i], pts[b]
@@ -692,15 +689,13 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
                 blocked = True
                 break
         if blocked:
-            removable[i] = False  # re-enabled if a neighbor is removed
-            continue
+            continue  # retried once a neighbor is removed
         alive[i] = False
         count -= 1
         nxt[a], prv[b] = b, a
         for j in (a, b):
             version[j] += 1
             if not protected[j]:
-                removable[j] = True
                 heappush(heap, (_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j]))
 
     kept = tuple(s for s, keep in zip(samples, alive) if keep)

@@ -44,19 +44,25 @@ def _on_sphere(z: SpherePoint) -> tuple[SpherePoint, float]:
     return None, float("inf")
 
 
+def _root_product(qa: float, qb: float) -> float:
+    """``(qa * qb) ** 0.5``, taking the two roots apart when the product overflows."""
+    q = qa * qb
+    return q ** 0.5 if q < float("inf") else qa ** 0.5 * qb ** 0.5
+
+
 def chordal(a: SpherePoint, b: SpherePoint) -> float:
     """Chordal distance on the sphere, range [0, 2]; 2 between antipodes."""
     if type(a) is complex and type(b) is complex:
         qa = 1.0 + a.real * a.real + a.imag * a.imag
         qb = 1.0 + b.real * b.real + b.imag * b.imag
         if qa < float("inf") and qb < float("inf"):
-            return 2.0 * abs(a - b) / (qa * qb) ** 0.5
+            return 2.0 * abs(a - b) / _root_product(qa, qb)
     (a, na), (b, nb) = _on_sphere(a), _on_sphere(b)
     if a is None and b is None:
         return 0.0
     if a is None or b is None:
         return 2.0 / (1.0 + (nb if a is None else na)) ** 0.5
-    return 2.0 * abs(a - b) / ((1.0 + na) * (1.0 + nb)) ** 0.5
+    return 2.0 * abs(a - b) / _root_product(1.0 + na, 1.0 + nb)
 
 
 def stereographic(z: SpherePoint) -> tuple[float, float, float]:

@@ -75,6 +75,19 @@ class TestSchedule:
     def test_negative_level_rejected(self, capsys):
         assert main(["schedule", "1/4", "1/8", "--level", "-1"]) == EXIT_USAGE
 
+    def test_level_past_the_mark_cap_refused(self, capsys):
+        # 5 * 2^64 marks: refused before a single doubling
+        assert main(["schedule", "1/4", "1/8", "--level", "64"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("quadmate: --level 64")
+
+    def test_largest_level_under_the_mark_cap(self, capsys):
+        # 5 * 2^13 = 40960 marks fit under 2^16, 5 * 2^14 do not
+        assert main(["schedule", "1/4", "1/8", "--level", "13"]) == EXIT_OK
+        assert "40960 marks" in capsys.readouterr().out
+        assert main(["schedule", "1/4", "1/8", "--level", "14"]) == EXIT_USAGE
+
 
 class TestMate:
     def test_final_values_printed(self, capsys):

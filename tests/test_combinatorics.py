@@ -1,12 +1,16 @@
 """Identification classes, structural gates, and mark schedules."""
 
+from pathlib import Path
+
 import pytest
 
 from quadmate.angles import Angle, reduce
 from quadmate.combinatorics import (
+    _TRACKED_CAP,
     MarkKind,
     Side,
     SideAngle,
+    _RaySystem,
     base_schedule,
     essential_classes,
     fsr_valid,
@@ -16,8 +20,79 @@ from quadmate.combinatorics import (
     pullback_schedule,
 )
 from quadmate.errors import AngleError, StructuralError
+from quadmate.lamination import same_landing
 
 A14, A18 = Angle(1, 4), Angle(1, 8)
+
+# every unordered pair of the structural-gate census, with its verdict
+GATE_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "gate_verdicts.txt"
+
+
+class ReferenceRaySystem(_RaySystem):
+    """The ray system as built by union-find over the tracked set, with landing
+    points compared pairwise by itinerary (``same_landing``)."""
+
+    def _build(self):
+        seeds = [SideAngle(s, a) for s in Side for a in sorted(self._critical[s])]
+        tracked: set[SideAngle] = set()
+        pending = list(seeds)
+        while pending:
+            sa = pending.pop()
+            if sa in tracked:
+                continue
+            tracked.add(sa)
+            if len(tracked) > _TRACKED_CAP:
+                raise StructuralError(
+                    "ray closure overflow",
+                    f"more than {_TRACKED_CAP} tracked angles for ({self.alpha}, {self.beta})",
+                )
+            pending.append(sa.glue_partner())
+            pending.append(sa.double())
+            pending.extend(SideAngle(sa.side, a) for a in self._coland(sa))
+        self.tracked = tracked
+
+        parent: dict[SideAngle, SideAngle] = {sa: sa for sa in tracked}
+
+        def find(x: SideAngle) -> SideAngle:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x: SideAngle, y: SideAngle):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+
+        for sa in tracked:
+            union(sa, sa.glue_partner())
+            for a in self._coland(sa):
+                union(sa, SideAngle(sa.side, a))
+
+        blocks: dict[SideAngle, set[SideAngle]] = {}
+        for sa in tracked:
+            blocks.setdefault(find(sa), set()).add(sa)
+        ordered = sorted(blocks.values(), key=lambda b: min(b, key=SideAngle.sort_key).sort_key())
+        self.classes = tuple(frozenset(b) for b in ordered)
+        self.index = {sa: i for i, c in enumerate(self.classes) for sa in c}
+
+        self.image = tuple(self._image_of(c) for c in self.classes)
+        self._l_flags = tuple(self._is_l(c) for c in self.classes)
+        self.essential = tuple(self._is_essential(i) for i in range(len(self.classes)))
+
+    def same_point(self, x: SideAngle, y: SideAngle) -> bool:
+        return x.side is y.side and same_landing(self._theta[x.side], x.angle, y.angle)
+
+    def point_groups(self, cls: frozenset[SideAngle]) -> list[frozenset[SideAngle]]:
+        groups: list[set[SideAngle]] = []
+        for sa in sorted(cls, key=SideAngle.sort_key):
+            for g in groups:
+                if self.same_point(sa, next(iter(g))):
+                    g.add(sa)
+                    break
+            else:
+                groups.append({sa})
+        return [frozenset(g) for g in groups]
 
 
 def sa(side: str, text: str) -> SideAngle:
@@ -174,3 +249,47 @@ class TestGates:
     def test_small_postcritical_counts(self):
         assert postcritical_count(A14, A14) == 4
         assert postcritical_count(Angle(1, 6), Angle(1, 6)) == 4
+
+
+def _table_pairs():
+    with GATE_VERDICTS.open() as fh:
+        rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+    assert len(rows) == 3486
+    return [(alpha, beta) for alpha, beta, _ in rows[::10]]
+
+
+class TestRayClassOracle:
+    """The one-pass ray classes against the union-find reference."""
+
+    @staticmethod
+    def check(alpha: str, beta: str):
+        alpha, beta = Angle.parse(alpha), Angle.parse(beta)
+        got, want = _RaySystem(alpha, beta), ReferenceRaySystem(alpha, beta)
+        assert got.tracked == want.tracked
+        assert got.classes == want.classes
+        assert got.index == want.index
+        assert got.image == want.image
+        assert got.essential == want.essential
+        for cls in want.classes:
+            assert got.point_groups(cls) == want.point_groups(cls)
+        # landing-point identity agrees on every pair of one class's points
+        for cls in want.classes:
+            members = sorted(cls, key=SideAngle.sort_key)
+            for x in members:
+                for y in members:
+                    assert got.same_point(x, y) == want.same_point(x, y)
+
+    def test_every_tenth_table_pair(self):
+        pairs = _table_pairs()
+        assert len(pairs) == 349
+        for alpha, beta in pairs:
+            self.check(alpha, beta)
+
+    @pytest.mark.parametrize("alpha,beta", [("1/4", "1/1022"), ("5/18", "1/22")])
+    def test_deep_pairs(self, alpha, beta):
+        # landing periods 9 and 10
+        self.check(alpha, beta)
+
+    def test_examples(self):
+        for alpha, beta in (("1/4", "1/8"), ("1/6", "13/14"), ("1/32", "1/12"), ("1/6", "1/6")):
+            self.check(alpha, beta)

@@ -433,8 +433,9 @@ class TestLiftOracle:
 
     @pytest.mark.parametrize("uv", STEP_MAPS)
     def test_single_steps_match_the_chordal_reference(self, uv):
-        # the previous lift is at infinity or has |prev| from 1e-160 to 1e154
-        # (the largest a square root reaches), crossing the thresholds at 0
+        # the previous lift is at infinity, past the overflow bound (as from
+        # a loaded dump), or has |prev| from 1e-160 to 1e154 (the largest a
+        # square root reaches), crossing the thresholds at 0
         # and infinity at every scale; the targets hit, or come within
         # roundoff of, both critical values, where the candidates meet or
         # overflow to infinity
@@ -443,7 +444,7 @@ class TestLiftOracle:
         for c in (F.u, F.v):
             if c is not None:
                 targets += [c, c + 1e-7, c - 1e-13j, c + 1e-300]
-        prevs = [None] + [
+        prevs = [None, 1e200 + 0j] + [
             10.0**k * cmath.exp(1j * phase) for k in range(-160, 155) for phase in (0.3, 2.0)
         ]
         for prev in prevs:

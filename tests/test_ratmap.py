@@ -100,15 +100,26 @@ def near_value(F):
     )
 
 
+def legacy_root(p, q):
+    """The denominator (p q)^(1/2) of the legacy formula, as later mended.
+
+    The legacy formula returned 0.0 wherever the product p q overflowed,
+    though both factors were finite; the mend takes the two roots apart
+    there and keeps every finite product's bits.
+    """
+    return (p * q) ** 0.5 if p * q < float("inf") else p ** 0.5 * q ** 0.5
+
+
 def legacy_chordal(a, b):
-    """``chordal`` as written before a point past the overflow bound counted as infinity."""
+    """``chordal`` as written before a point past the overflow bound counted as
+    infinity, with the overflowing product mended (see ``legacy_root``)."""
     if type(a) is complex and type(b) is complex:
         d = abs(a - b)
         if d < float("inf"):
-            return 2.0 * d / (
-                (1.0 + a.real * a.real + a.imag * a.imag)
-                * (1.0 + b.real * b.real + b.imag * b.imag)
-            ) ** 0.5
+            return 2.0 * d / legacy_root(
+                1.0 + a.real * a.real + a.imag * a.imag,
+                1.0 + b.real * b.real + b.imag * b.imag,
+            )
     a, b = as_point(a), as_point(b)
     if a is None and b is None:
         return 0.0
@@ -116,7 +127,7 @@ def legacy_chordal(a, b):
         a, b = b, a
     if b is None:
         return 2.0 / (1.0 + abs(a) ** 2) ** 0.5
-    return 2.0 * abs(a - b) / ((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2)) ** 0.5
+    return 2.0 * abs(a - b) / legacy_root(1.0 + abs(a) ** 2, 1.0 + abs(b) ** 2)
 
 
 def legacy_stereographic(z):
@@ -284,6 +295,15 @@ class TestChordal:
         # the limit as |a| grows: the distance from infinity
         assert chordal(a, b) == chordal(b, a) == chordal(None, b)
         assert chordal(a, c) == 0.0
+
+    def test_overflowing_product_below_the_bound(self):
+        # (1 + |a|^2)(1 + |b|^2) overflows though each factor is finite
+        assert math.isclose(chordal(1e100 + 0j, 2e100 + 0j), 1e-100, rel_tol=1e-15)
+        assert chordal(2e100 + 0j, 1e100 + 0j) == chordal(1e100 + 0j, 2e100 + 0j)
+        assert chordal(1e100, 2e100) == chordal(1e100 + 0j, 2e100 + 0j)
+        assert math.isclose(chordal(1e100j, -1e100j), 4e-100, rel_tol=1e-15)
+        assert math.isclose(chordal(1e150 + 0j, 1e80 + 0j), 2e-80, rel_tol=1e-15)
+        assert chordal(1e100 + 0j, 1e100 + 0j) == 0.0
 
     def test_past_the_bound_examples(self):
         assert chordal(1e200 + 0j, None) == 0.0
