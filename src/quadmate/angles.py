@@ -79,6 +79,20 @@ class Angle:
             return _canonical(num, 2 * self.den)
         return _canonical(num // 2, self.den)
 
+    def opposite(self) -> "Angle":
+        """The rotation ``a + 1/2 mod 1``, which takes ``half(0)`` of an angle to ``half(1)``."""
+        if self.den % 2:
+            num, den = 2 * self.num + self.den, 2 * self.den
+        else:
+            num, den = self.num + self.den // 2, self.den
+        if num >= den:
+            num -= den
+        # an odd den makes num odd; an even den leaves a factor 2 in num only
+        # when den/2 is odd, so one halving gives the canonical form (0/2 -> 0/1)
+        if num % 2:
+            return _canonical(num, den)
+        return _canonical(num // 2, den // 2)
+
     def halves(self) -> tuple["Angle", "Angle"]:
         """The two preimages under doubling, the first in ``[0, 1/2)``."""
         return self.half(0), self.half(1)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 structural gate failure, 3 numeric failure (branch
 loss or divergence), 64 usage, including a dump directory that cannot be
-created.  Artifacts of one ``mate`` run land in a directory named by the run
-id, a digest of the full configuration, so reruns with the same configuration
+created; a reader that closes standard output early ends the command with 0.
+Artifacts of one ``mate`` run land in a directory named by the run id, a
+digest of the full configuration, so reruns with the same configuration
 overwrite their own artifacts byte for byte.
 """
 
@@ -284,7 +285,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a pipe closed after the last print fails here
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output early (``| head``): the rest of
+        # the output is dropped, and devnull takes the interpreter's last flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except AngleError as exc:
         print(f"quadmate: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -54,6 +54,7 @@ from .ratmap import (
 )
 
 ZERO = Angle(0, 1)
+HALF = Angle(1, 2)
 
 # how distinguishable the two branch candidates must be before a step is
 # accepted without refinement
@@ -370,6 +371,13 @@ def pullback_curve(
     ambiguous the handedness rule decides locally (fork right at the black
     critical point, left at the red, oriented by the outward normal).
 
+    Each parent arc is lifted once.  Lap 1 passes the same positions as
+    lap 0 at parameters moved by 1/2, both halves of a critical value are
+    critical-point marks, and a lift reads parameters only through
+    :func:`midpoint`, which commutes with that rotation; so the lift of each
+    lap-1 arc is the lift of its lap-0 twin with every parameter moved by
+    1/2 (:meth:`Angle.opposite`), its head and tail at the child marks.
+
     Parameters stay exact angles: a parent sample at ``a`` reappears at
     ``a.half(0)`` and ``a.half(1)``, and refinement inserts arc midpoints.
     The parent's parameters ascend from 0, so the child traversal ascends
@@ -378,47 +386,47 @@ def pullback_curve(
     parent's marked samples on each lap, the arc heads are the only marked
     samples, and the stitched arcs concatenate in ascending order.
     """
-    # child traversal: two laps over the parent, parameters halved
-    params = [smp.parameter.half(0) for smp in c.samples]
-    params += [smp.parameter.half(1) for smp in c.samples]
-    positions = [smp.position for smp in c.samples] * 2
+    # lap 0 of the child traversal: the parent loop with its parameters
+    # halved, closed at 1/2, where lap 1 begins at the anchor's position
+    params = [smp.parameter.half(0) for smp in c.samples] + [HALF]
+    positions = [smp.position for smp in c.samples] + [c.samples[0].position]
 
     # the child marks are the halves of the parent's marks in order, lap 0
     # then lap 1, so they sit at the parent's marked indices on each lap
     marked = [k for k, smp in enumerate(c.samples) if smp.mark is not None]
-    boundaries = marked + [k + len(c.samples) for k in marked]
     arc_marks = s_next.marks
-    if len(boundaries) != len(arc_marks):
+    m = len(marked)
+    if 2 * m != len(arc_marks):
         raise AssertionError("child schedule does not halve the parent's marks")
-    if params[boundaries[0]] != ZERO:
+    if params[marked[0]] != ZERO:
         raise AssertionError("child traversal lost its anchor mark")
-    arcs: list[list[tuple[Angle, SpherePoint]]] = []
-    for k, start in enumerate(boundaries):
-        end = boundaries[(k + 1) % len(boundaries)]
-        if end > start:
-            entries = list(zip(params[start : end + 1], positions[start : end + 1]))
-        else:  # wrap: close the loop back through the anchor
-            entries = list(zip(params[start:], positions[start:]))
-            entries.append((params[0], positions[0]))
-        head = arc_marks[k]
-        tail = arc_marks[(k + 1) % len(boundaries)]
+    boundaries = marked + [len(c.samples)]
+    lifts: list[list[tuple[Angle, SpherePoint]]] = []
+    for k in range(m):
+        start, end = boundaries[k], boundaries[k + 1]
+        entries = list(zip(params[start : end + 1], positions[start : end + 1]))
+        head, tail = arc_marks[k], arc_marks[k + 1]
         # densify toward critical passages so fork directions are read close
         # to the critical point, where the two lifts separate at right angles
-        if tail.kind is MarkKind.CRITICAL_POINT and len(entries) >= 2:
+        if tail.kind is MarkKind.CRITICAL_POINT:
             entries = entries[:-1] + _densify(entries[-2], entries[-1]) + [entries[-1]]
-        if head.kind is MarkKind.CRITICAL_POINT and len(entries) >= 2:
+        if head.kind is MarkKind.CRITICAL_POINT:
             mids = _densify(entries[1], entries[0])
             mids.reverse()
             entries = [entries[0]] + mids + entries[1:]
-        arcs.append(entries)
-
-    lifts: list[list[tuple[Angle, SpherePoint]]] = []
-    for k, entries in enumerate(arcs):
         try:
             lifts.append(_lift_arc(F, entries))
         except BranchTrackingError as exc:
             exc.arc = k
             raise
+    # each lap-1 arc is its lap-0 twin moved by 1/2 (see above)
+    for k in range(m):
+        lift = lifts[k]
+        lifts.append(
+            [(arc_marks[k + m].parameter, lift[0][1])]
+            + [(t.opposite(), p) for t, p in lift[1:-1]]
+            + [(arc_marks[(k + m + 1) % (2 * m)].parameter, lift[-1][1])]
+        )
 
     crit_pos = {Side.BLACK: 0.0 + 0.0j, Side.RED: None}
     base_params = {t for t, _ in s_next.base_points}

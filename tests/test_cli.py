@@ -88,6 +88,33 @@ class TestSchedule:
         assert "40960 marks" in capsys.readouterr().out
         assert main(["schedule", "1/4", "1/8", "--level", "14"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "args,lines",
+        [
+            # about 1 MB of table, far past a pipe's buffer: the reader takes
+            # the first line and closes, so a later write meets the closed pipe
+            (["schedule", "1/4", "1/8", "--level", "13"], 1),
+            # the reader closes before anything is written, so the flush of
+            # the buffered report meets it
+            (["check", "1/4", "1/8"], 0),
+        ],
+    )
+    def test_reader_closing_early_ends_quietly(self, args, lines):
+        # stdout block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quadmate.cli", *args],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        first = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert first == ["level 13 schedule for (1/4, 1/8): 40960 marks\n"][:lines]
+        assert err == ""
+
 
 class TestMate:
     def test_final_values_printed(self, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quadmate import engine
 from quadmate.angles import Angle, midpoint, reduce
@@ -16,6 +16,7 @@ from quadmate.combinatorics import (
     Mark,
     MarkKind,
     Schedule,
+    Side,
     base_schedule,
     pullback_schedule,
 )
@@ -32,7 +33,13 @@ from quadmate.engine import (
     structural_gates,
 )
 from quadmate.errors import BranchTrackingError, StructuralError
-from quadmate.ratmap import chordal, from_critical_values, stereographic
+from quadmate.ratmap import (
+    NormalizedQuadratic,
+    SpherePoint,
+    chordal,
+    from_critical_values,
+    stereographic,
+)
 
 A14, A18 = Angle(1, 4), Angle(1, 8)
 
@@ -95,6 +102,159 @@ def reference_lift_arc(F, entries):
     for t1, z1 in entries[1:]:
         reference_lift_step(F, out, out[-1][0], out[-1][1], t1, z1, engine._MAX_REFINE)
     return out
+
+
+def reference_pullback_curve(
+    c: DiscreteCurve,
+    F: NormalizedQuadratic,
+    s_next: Schedule,
+) -> DiscreteCurve:
+    """``pullback_curve`` as it was when it lifted both laps arc by arc.
+
+    The body is unchanged apart from naming the engine's private helpers
+    through the module.
+    """
+    # child traversal: two laps over the parent, parameters halved
+    params = [smp.parameter.half(0) for smp in c.samples]
+    params += [smp.parameter.half(1) for smp in c.samples]
+    positions = [smp.position for smp in c.samples] * 2
+
+    # the child marks are the halves of the parent's marks in order, lap 0
+    # then lap 1, so they sit at the parent's marked indices on each lap
+    marked = [k for k, smp in enumerate(c.samples) if smp.mark is not None]
+    boundaries = marked + [k + len(c.samples) for k in marked]
+    arc_marks = s_next.marks
+    if len(boundaries) != len(arc_marks):
+        raise AssertionError("child schedule does not halve the parent's marks")
+    if params[boundaries[0]] != engine.ZERO:
+        raise AssertionError("child traversal lost its anchor mark")
+    arcs: list[list[tuple[Angle, SpherePoint]]] = []
+    for k, start in enumerate(boundaries):
+        end = boundaries[(k + 1) % len(boundaries)]
+        if end > start:
+            entries = list(zip(params[start : end + 1], positions[start : end + 1]))
+        else:  # wrap: close the loop back through the anchor
+            entries = list(zip(params[start:], positions[start:]))
+            entries.append((params[0], positions[0]))
+        head = arc_marks[k]
+        tail = arc_marks[(k + 1) % len(boundaries)]
+        # densify toward critical passages so fork directions are read close
+        # to the critical point, where the two lifts separate at right angles
+        if tail.kind is MarkKind.CRITICAL_POINT and len(entries) >= 2:
+            entries = entries[:-1] + engine._densify(entries[-2], entries[-1]) + [entries[-1]]
+        if head.kind is MarkKind.CRITICAL_POINT and len(entries) >= 2:
+            mids = engine._densify(entries[1], entries[0])
+            mids.reverse()
+            entries = [entries[0]] + mids + entries[1:]
+        arcs.append(entries)
+
+    lifts: list[list[tuple[Angle, SpherePoint]]] = []
+    for k, entries in enumerate(arcs):
+        try:
+            lifts.append(engine._lift_arc(F, entries))
+        except BranchTrackingError as exc:
+            exc.arc = k
+            raise
+
+    crit_pos = {Side.BLACK: 0.0 + 0.0j, Side.RED: None}
+    base_params = {t for t, _ in s_next.base_points}
+
+    # chains: a new one starts at the anchor and at every critical passage,
+    # where endpoint matching cannot tell the two continuations apart
+    chain_starts = [
+        k for k, m in enumerate(arc_marks)
+        if k == 0 or m.kind is MarkKind.CRITICAL_POINT
+    ]
+    chain_stops = chain_starts[1:] + [len(lifts)]
+
+    # within a chain, continuity pins every sign relative to the leading arc
+    rel: list[int] = [1] * len(lifts)
+    for start, stop in zip(chain_starts, chain_stops):
+        mark = arc_marks[start]
+        if mark.kind is MarkKind.CRITICAL_POINT and chordal(
+            lifts[start][0][1], crit_pos[mark.color]
+        ) > engine._STITCH_TOL:
+            raise BranchTrackingError(mark.parameter, "lift misses the critical point", arc=start)
+        for k in range(start + 1, stop):
+            prev_end = lifts[k - 1][-1][1]
+            if rel[k - 1] == -1:
+                prev_end = engine._neg(prev_end)
+            dp = chordal(lifts[k][0][1], prev_end)
+            dm = chordal(engine._neg(lifts[k][0][1]), prev_end)
+            if min(dp, dm) > engine._STITCH_TOL:
+                raise BranchTrackingError(
+                    arc_marks[k].parameter, "arc endpoints fail to meet", arc=k
+                )
+            rel[k] = 1 if dp <= dm else -1
+
+    def chain_score(ci: int, lead: int) -> float:
+        # worst marked-point displacement from the parent embedding; the wrap
+        # chain additionally must land back on the anchor
+        score, seen = 0.0, False
+        for k in range(chain_starts[ci], chain_stops[ci]):
+            t = arc_marks[k].parameter
+            if t in base_params:
+                pos = lifts[k][0][1] if lead * rel[k] == 1 else engine._neg(lifts[k][0][1])
+                score = max(score, chordal(pos, c.sample_at(t).position))
+                seen = True
+        if chain_stops[ci] == len(lifts):
+            tail = lifts[-1][-1][1] if lead * rel[-1] == 1 else engine._neg(lifts[-1][-1][1])
+            score = max(score, chordal(tail, 1.0 + 0.0j))
+            seen = True
+        return score if seen else math.inf
+
+    signs: list[int] = [0] * len(lifts)
+    for ci, (start, stop) in enumerate(zip(chain_starts, chain_stops)):
+        sp, sm = chain_score(ci, 1), chain_score(ci, -1)
+        if min(sp, sm) <= engine._ISOTOPY_DECISIVE and min(sp, sm) <= (
+            engine._ISOTOPY_RATIO * max(sp, sm)
+        ):
+            lead = 1 if sp <= sm else -1
+        elif ci == 0:
+            lead = 1 if chordal(lifts[0][0][1], 1.0 + 0.0j) <= chordal(
+                engine._neg(lifts[0][0][1]), 1.0 + 0.0j
+            ) else -1
+        else:
+            mark = arc_marks[start]
+            cp = crit_pos[mark.color]
+            n_hat = stereographic(cp)
+            back = next(
+                (p if signs[start - 1] == 1 else engine._neg(p)
+                 for _, p in reversed(lifts[start - 1])
+                 if chordal(p, cp) > 1e-9),
+                None,
+            )
+            ahead = next((p for _, p in lifts[start][1:] if chordal(p, cp) > 1e-9), None)
+            if back is None or ahead is None:
+                raise BranchTrackingError(
+                    mark.parameter, "curve stalls at a critical point", arc=start
+                )
+            d = engine._vec(stereographic(back), n_hat)
+            w = engine._vec(n_hat, stereographic(ahead))
+            trip = engine._triple(d, w, n_hat)
+            want_negative = mark.color is Side.BLACK  # fork right at 0, left at infinity
+            if trip == 0.0:
+                raise BranchTrackingError(mark.parameter, "handedness test degenerate", arc=start)
+            lead = 1 if (trip < 0) == want_negative else -1
+        for k in range(start, stop):
+            signs[k] = lead * rel[k]
+
+    closing = lifts[-1][-1][1] if signs[-1] == 1 else engine._neg(lifts[-1][-1][1])
+    if chordal(closing, 1.0 + 0.0j) > engine._STITCH_TOL:
+        raise BranchTrackingError(
+            engine.ZERO, "lifted curve fails to close at the anchor", arc=len(lifts) - 1
+        )
+
+    # an arc's last entry is shared with the next arc's head
+    samples: list[CurveSample] = []
+    for lift, sign, mark in zip(lifts, signs, arc_marks):
+        t, p = lift[0]
+        samples.append(CurveSample(t, p if sign == 1 else engine._neg(p), mark))
+        if sign == 1:
+            samples += [CurveSample(t, p) for t, p in lift[1:-1]]
+        else:
+            samples += [CurveSample(t, None if p is None else -p) for t, p in lift[1:-1]]
+    return DiscreteCurve(samples=tuple(samples), level=s_next.level, schedule=s_next)
 
 
 def reference_deviation(prev, cur, nxt) -> float:
@@ -356,6 +516,16 @@ class TestParameterArithmetic:
     def test_half_matches_fractions(self, a, lap):
         assert a.half(lap) == _angle_of((a.fraction + lap) / 2)
 
+    @given(angle, st.sampled_from([0, 1]))
+    @example(Angle(0, 1), 0)
+    @example(Angle(0, 1), 1)
+    @example(Angle(1, 3), 1)
+    def test_opposite_matches_fractions(self, a, lap):
+        # half(0) lies below 1/2 and half(1) at or above it
+        t = a.half(lap)
+        assert t.opposite() == _angle_of((t.fraction + Fraction(1, 2)) % 1)
+        assert t.opposite() == a.half(1 - lap)
+
     @given(angle, step)
     def test_midpoint_is_the_average_either_way(self, a, d):
         b = _angle_of(a.fraction + d)
@@ -452,6 +622,104 @@ class TestLiftOracle:
                 assert _step_outcome(engine._lift_step, F, prev, z1) == _step_outcome(
                     reference_lift_step, F, prev, z1
                 ), (prev, z1)
+
+
+def _sample_bits(c):
+    """Each sample's parameter, position to the bit and mark."""
+    return [(s.parameter, _bits(s.position), s.mark) for s in c.samples]
+
+
+# a pair run to its certified finish at the default density (the bench's
+# worked example); the same pair sparse, where pullbacks refine steps; a
+# fixed point; every pullback of a census pair up to its collision, and of
+# one up to the lifted curve that fails to close at the anchor
+PULLBACK_RUNS = [
+    (A14, A18, IterateOptions(max_iters=40), "converged"),
+    (A14, A18, IterateOptions(max_iters=40, samples_per_arc=8, budget=128), "converged"),
+    (A14, A14, IterateOptions(max_iters=4, tol=0.0, samples_per_arc=32, budget=2048),
+     "max-iterations"),
+    (reduce(1, 10), reduce(19, 20),
+     IterateOptions(max_iters=20, samples_per_arc=32, budget=2048), "diverged"),
+    (reduce(1, 20), reduce(17, 20),
+     IterateOptions(max_iters=20, samples_per_arc=32, budget=2048), "diverged"),
+]
+
+
+class TestPullbackOracle:
+    @pytest.mark.parametrize("alpha,beta,opts,status", PULLBACK_RUNS)
+    def test_every_pullback_matches_the_reference(
+        self, alpha, beta, opts, status, monkeypatch
+    ):
+        pullback = engine.pullback_curve
+        failures = []
+        calls = [0]
+
+        def compared(c, F, s_next):
+            calls[0] += 1
+            try:
+                want = reference_pullback_curve(c, F, s_next)
+            except BranchTrackingError as exc:
+                want = exc
+            try:
+                got = pullback(c, F, s_next)
+            except BranchTrackingError as exc:
+                assert isinstance(want, BranchTrackingError)
+                assert (str(exc), exc.arc) == (str(want), want.arc)
+                failures.append(exc)
+                raise
+            assert not isinstance(want, BranchTrackingError), want
+            assert (got.level, got.schedule) == (want.level, want.schedule)
+            assert _sample_bits(got) == _sample_bits(want)
+            return got
+
+        monkeypatch.setattr(engine, "pullback_curve", compared)
+        report = iterate(alpha, beta, opts)
+        assert report.status == status
+        # a pullback per record except level 0 and the Newton record, and the
+        # one that failed
+        lifted = sum(r.phase != "newton" for r in report.records[1:])
+        assert calls[0] == lifted + len(failures)
+        if failures:
+            (exc,) = failures
+            assert report.message == (
+                f"numeric failure at iteration {report.records[-1].n + 1}: "
+                f"lifted curve fails to close at the anchor at parameter 0 on arc {exc.arc}"
+            )
+
+
+class TestLapAntisymmetry:
+    @pytest.mark.parametrize(
+        "alpha,beta,opts",
+        [
+            (A14, A18, IterateOptions(max_iters=40, samples_per_arc=16, budget=256)),
+            (A14, A14, IterateOptions(max_iters=5, tol=0.0, samples_per_arc=32, budget=2048)),
+        ],
+    )
+    def test_second_lap_is_the_first_negated(self, alpha, beta, opts, monkeypatch):
+        # F(-z) = F(z): a child curve that covers the preimage of its parent
+        # once passes each lap-0 sample's negative on lap 1, at the parameter
+        # moved by 1/2.  The lifted curve is read before prune, which need
+        # not keep the two laps alike
+        pullback = engine.pullback_curve
+        lifted = []
+
+        def recording(c, F, s_next):
+            out = pullback(c, F, s_next)
+            lifted.append(out)
+            return out
+
+        monkeypatch.setattr(engine, "pullback_curve", recording)
+        iterate(alpha, beta, opts)
+        assert len(lifted) >= 5
+        half = Angle(1, 2)
+        for c in lifted:
+            lap0 = [s for s in c.samples if s.parameter < half]
+            lap1 = [s for s in c.samples if not s.parameter < half]
+            assert len(lap0) == len(lap1)
+            assert [s.parameter.opposite() for s in lap0] == [s.parameter for s in lap1]
+            assert [_bits(None if s.position is None else -s.position) for s in lap0] == [
+                _bits(s.position) for s in lap1
+            ]
 
 
 class TestBranchFailureContext:
