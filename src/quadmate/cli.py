@@ -268,13 +268,19 @@ def build_parser() -> _Parser:
     p_sched.add_argument("--level", type=int, default=0)
     p_sched.set_defaults(func=cmd_schedule)
 
+    # the defaults are IterateOptions' own, so the two cannot drift apart
+    opts = IterateOptions()
     p_mate = sub.add_parser("mate", help="run the pullback iteration")
     p_mate.add_argument("alpha")
     p_mate.add_argument("beta")
-    p_mate.add_argument("--iters", type=int, default=200, help="iteration cap")
-    p_mate.add_argument("--tol", type=float, default=1e-9, help="convergence threshold")
-    p_mate.add_argument("--samples", type=int, default=64, help="initial samples per arc")
-    p_mate.add_argument("--budget", type=int, default=4096, help="sample cap per curve")
+    p_mate.add_argument("--iters", type=int, default=opts.max_iters,
+                        help="iteration cap (default: %(default)s)")
+    p_mate.add_argument("--tol", type=float, default=opts.tol,
+                        help="convergence threshold (default: %(default)s)")
+    p_mate.add_argument("--samples", type=int, default=opts.samples_per_arc,
+                        help="initial samples per arc (default: %(default)s)")
+    p_mate.add_argument("--budget", type=int, default=opts.budget,
+                        help="sample cap per curve (default: %(default)s)")
     p_mate.add_argument("--dump", default=None, help="directory for run artifacts")
     p_mate.add_argument("--render", action="store_true", help="write SVG figures")
     p_mate.set_defaults(func=cmd_mate)

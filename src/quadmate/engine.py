@@ -167,10 +167,25 @@ class RunReport:
 
 @dataclass(frozen=True)
 class IterateOptions:
+    """The knobs of :func:`iterate`; ``quadmate mate`` takes its defaults here.
+
+    ``max_iters`` caps the records after the level-0 one.  ``tol`` is the
+    chordal step of (u, v) below which the run ends ``converged``.
+    ``samples_per_arc`` is the number of samples the level-0 curve places
+    between consecutive marks.  ``budget`` is the sample count each lifted
+    curve is pruned down to (the windows around its marks are kept even past
+    it); it must cover the lifted curve's marks, two for each level-0 mark.
+
+    The sampling reaches (u, v) only through branch choices, so its defaults
+    are set by the 50-pair convergence census in ``tests/test_census.py``:
+    32/2048 converges on every pair that 64/4096 does, to the same (u, v),
+    in about half the time, and 16/1024 loses three of them.
+    """
+
     max_iters: int = 200
     tol: float = 1e-9
-    samples_per_arc: int = 64
-    budget: int = 4096
+    samples_per_arc: int = 32
+    budget: int = 2048
 
 
 def _unit_circle(t: Fraction) -> complex:
@@ -806,7 +821,9 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
     nothing and the pullback continues from where it was.  ``curve_hook``
     receives the curve of each record as it is added, except the record of a
     collision; the curve's level is the record's n, and its positions at the
-    schedule's two value parameters are the record's u and v.
+    schedule's two value parameters are the record's u and v.  Raises
+    ValueError, before the level-0 curve is built, when ``opts.budget`` is
+    below the marked-sample count of a lifted curve.
     """
     report = RunReport(alpha=alpha, beta=beta, status="", options=asdict(opts))
     reason = structural_gates(alpha, beta)
@@ -822,6 +839,11 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
 
     try:
         s0 = base_schedule(alpha, beta)
+        # each lifted curve carries both halves of every level-0 mark, and
+        # prune keeps them all: refused here rather than after a whole lift
+        marked = 2 * len(s0.marks)
+        if opts.budget < marked:
+            raise ValueError(f"budget {opts.budget} below the marked-sample count {marked}")
         curve = init_embedding(s0, opts.samples_per_arc)
         u, v = read_critical_values(curve)
         report.records.append(

@@ -110,6 +110,8 @@ def _keyed(r: _Reader, key: str) -> tuple[int, list[str]]:
     parts = text.split()
     if parts[0] != key:
         raise SerializationError(f"expected {key!r}, got {parts[0]!r}", line)
+    if len(parts) == 1:  # every keyed line carries a value
+        raise SerializationError(f"{key!r} line has no value", line)
     return line, parts[1:]
 
 

@@ -17,6 +17,7 @@ from quadmate.cli import (
     EXIT_USAGE,
     main,
 )
+from quadmate.engine import IterateOptions
 from quadmate.serialize import load_curve
 
 SRC = str(Path(quadmate.__file__).resolve().parents[1])
@@ -117,6 +118,18 @@ class TestSchedule:
 
 
 class TestMate:
+    def test_defaults_are_the_iterate_options(self, capsys):
+        args = quadmate.cli.build_parser().parse_args(["mate", "1/4", "1/8"])
+        opts = IterateOptions()
+        assert (args.iters, args.tol, args.samples, args.budget) == (
+            opts.max_iters, opts.tol, opts.samples_per_arc, opts.budget
+        )
+        with pytest.raises(SystemExit):
+            main(["mate", "--help"])
+        help_text = capsys.readouterr().out
+        for value in (opts.max_iters, opts.tol, opts.samples_per_arc, opts.budget):
+            assert f"(default: {value})" in help_text
+
     def test_final_values_printed(self, capsys):
         code = main(["mate", "1/4", "1/4", "--iters", "2", "--tol", "0"])
         assert code == EXIT_OK
@@ -212,7 +225,9 @@ class TestMate:
     def test_run_id_depends_on_config(self, tmp_path, capsys):
         base = ["mate", "1/4", "1/8", "--iters", "1", "--tol", "0"]
         main(base + ["--dump", str(tmp_path)])
-        main(base + ["--samples", "32", "--dump", str(tmp_path)])
+        # any value but the default
+        samples = str(IterateOptions().samples_per_arc // 2)
+        main(base + ["--samples", samples, "--dump", str(tmp_path)])
         assert len(list(tmp_path.iterdir())) == 2
 
     def test_env_var_dump_dir(self, tmp_path, capsys, monkeypatch):

@@ -559,8 +559,8 @@ class TestLiftOracle:
         [(A14, A18), (A14, A14)],
     )
     def test_lift_arc_matches_the_chordal_reference(self, alpha, beta, monkeypatch):
-        # the first three pullbacks at the default density, then a sparse run
-        # whose fourth pullback refines steps on both pairs
+        # the first three pullbacks at the default density (32/2048), then a
+        # sparse run whose fourth pullback refines steps on both pairs
         runs = [
             IterateOptions(max_iters=3, tol=0.0),
             IterateOptions(max_iters=4, tol=0.0, samples_per_arc=8, budget=128),
@@ -629,10 +629,10 @@ def _sample_bits(c):
     return [(s.parameter, _bits(s.position), s.mark) for s in c.samples]
 
 
-# a pair run to its certified finish at the default density (the bench's
-# worked example); the same pair sparse, where pullbacks refine steps; a
-# fixed point; every pullback of a census pair up to its collision, and of
-# one up to the lifted curve that fails to close at the anchor
+# a pair run to its certified finish at the default density, 32/2048 (the
+# bench's worked example); the same pair sparse, where pullbacks refine
+# steps; a fixed point; every pullback of a census pair up to its collision,
+# and of one up to the lifted curve that fails to close at the anchor
 PULLBACK_RUNS = [
     (A14, A18, IterateOptions(max_iters=40), "converged"),
     (A14, A18, IterateOptions(max_iters=40, samples_per_arc=8, budget=128), "converged"),
@@ -848,8 +848,9 @@ class TestPruneOracle:
     @pytest.mark.parametrize(
         "alpha,beta,opts,status",
         [
-            # at the default density the curve first outgrows the budget at
-            # pullback 4, so these are three pullbacks that prune
+            # at the default density, 32/2048, the curve first outgrows the
+            # budget at pullback 4 (3600 and 3072 samples), so these are three
+            # pullbacks that prune
             (A14, A18, IterateOptions(max_iters=6, tol=0.0), "max-iterations"),
             (A14, A14, IterateOptions(max_iters=6, tol=0.0), "max-iterations"),
             # every pullback of a census pair, up to its collision
@@ -986,6 +987,19 @@ class TestIterate:
         assert "conjugate limbs" in report.message
         assert report.records == []
         assert report.final_curve is None
+
+    def test_budget_below_marks_refused_before_the_level0_curve(self, monkeypatch):
+        # (1/4, 1/8) has 5 level-0 marks, so each lifted curve carries 10
+        built = []
+        monkeypatch.setattr(engine, "init_embedding", lambda *a: built.append(a))
+        with pytest.raises(ValueError) as err:
+            iterate(A14, A18, IterateOptions(budget=3))
+        assert str(err.value) == "budget 3 below the marked-sample count 10"
+        assert built == []
+        monkeypatch.undo()
+        # the marked count itself is a budget
+        opts = IterateOptions(max_iters=1, tol=0.0, samples_per_arc=2, budget=10)
+        assert iterate(A14, A18, opts).status == "max-iterations"
 
     def test_parabolic_collision_detected(self):
         opts = IterateOptions(max_iters=40, samples_per_arc=32, budget=2048)

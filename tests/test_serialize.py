@@ -77,6 +77,17 @@ class TestParseErrors:
         assert err.value.line == broken + 1
         assert f"line {broken + 1}" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["level", "black-value", "red-value", "marks", "samples"])
+    def test_keyed_line_without_value(self, key):
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c, 1j, -1j).splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith(f"{key} "))
+        lines[at] = key
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert err.value.line == at + 1
+        assert f"line {at + 1}: {key!r} line has no value" == str(err.value)
+
     def test_truncated_file(self, curve_with_infinity):
         c, u, v = curve_with_infinity
         lines = dump_curve(c, u, v).splitlines()
