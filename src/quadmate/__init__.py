@@ -32,6 +32,7 @@ from .engine import (
 from .errors import (
     AngleError,
     BranchTrackingError,
+    NumericError,
     QuadmateError,
     SerializationError,
     StructuralError,

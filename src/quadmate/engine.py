@@ -42,7 +42,7 @@ from .combinatorics import (
     postcritical_count,
     pullback_schedule,
 )
-from .errors import BranchTrackingError, StructuralError
+from .errors import BranchTrackingError, NumericError, StructuralError
 from .lamination import mateable_detail
 from .ratmap import (
     NormalizedQuadratic,
@@ -175,6 +175,8 @@ class IterateOptions:
     between consecutive marks.  ``budget`` is the sample count each lifted
     curve is pruned down to (the windows around its marks are kept even past
     it); it must cover the lifted curve's marks, two for each level-0 mark.
+    A lifted curve whose second lap is its first negated is pruned to an
+    even count, ``budget - 1`` for an odd budget (see :func:`prune`).
 
     The sampling reaches (u, v) only through branch choices, so its defaults
     are set by the 50-pair convergence census in ``tests/test_census.py``:
@@ -648,6 +650,20 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     than interpolated.  Raises ValueError when ``budget`` is below the
     marked-sample count.
 
+    A symmetric curve is pruned on one lap and mirrored to the other.  The
+    fold applies when the sample count n is even, sample k + n/2 sits at
+    exactly the negative of sample k for every k (None pairs with None), and
+    samples 0 and n/2 are marked; F(-z) = F(z) makes every lifted curve that
+    covers its preimage once look so.  The greedy then runs over samples
+    0..n/2-1 with cyclic links over n/2, every mark's window folded mod n/2,
+    guards at the postcritical positions of both laps and at their
+    negatives, and a target of ``budget // 2``; lap 1 keeps the same
+    indices.  The isometry (x, y, z) -> (-x, -y, z) gives twins equal
+    deviations, and a twin's sweep clears a guard g exactly when its lap-0
+    sample's sweep clears -g, so this is the greedy that removes twins in
+    pairs.  The marks at 0 and n/2 protect the seam, so the cyclic wrap is
+    never read.  An odd budget prunes a symmetric curve to ``budget - 1``.
+
     A heap entry whose version is current holds its sample's exact deviation,
     since a sample's neighbors change only together with its version.  Prune
     is the costliest layer of a pullback, so the set-up forms each finite
@@ -662,8 +678,19 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     if n <= budget:
         return c
 
+    # the domain of the greedy: lap 0 of a symmetric curve, else all of it
+    m = n // 2
+    if not (
+        n % 2 == 0
+        and samples[0].mark is not None
+        and samples[m].mark is not None
+        and all(_neg(a.position) == b.position for a, b in zip(samples, samples[m:]))
+    ):
+        m = n
+    target = budget if m == n else budget // 2
+
     pts = []
-    for s in samples:
+    for s in samples[:m]:
         z = s.position  # stereographic(z), inline for a finite complex z
         if type(z) is complex:
             try:
@@ -675,15 +702,19 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
                 pts.append((2.0 * z.real / q, 2.0 * z.imag / q, (1.0 - r2) / q))
                 continue
         pts.append(stereographic(z))
-    guarded = [pts[i] for i in marked if samples[i].mark.point_id is not None]
-    alive = [True] * n
-    prv = [n - 1, *range(n - 1)]
-    nxt = [*range(1, n), 0]
-    version = [0] * n
-    protected = [False] * n
+    # folded, a lap-1 guard mirrors its twin's point, and the mirrors of
+    # the guards join them
+    guarded = [pts[i % m] for i in marked if samples[i].mark.point_id is not None]
+    if m < n:
+        guarded += [(-x, -y, z) for x, y, z in guarded]
+    alive = [True] * m
+    prv = [m - 1, *range(m - 1)]
+    nxt = [*range(1, m), 0]
+    version = [0] * m
+    protected = [False] * m
     for i in marked:
         for k in range(i - _MARK_WINDOW, i + _MARK_WINDOW + 1):
-            protected[k % n] = True
+            protected[k % m] = True
 
     # entries (deviation, index, version) are unique by index and version, so
     # they are totally ordered and the pop order does not depend on how the
@@ -691,13 +722,13 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     # removed sample is unlinked, so its version never moves again: an entry
     # is live exactly when its version is current
     heap = [
-        (_deviation(pts[prv[i]], pts[i], pts[nxt[i]]), i, 0) for i in range(n) if not protected[i]
+        (_deviation(pts[prv[i]], pts[i], pts[nxt[i]]), i, 0) for i in range(m) if not protected[i]
     ]
     heapq.heapify(heap)
 
     dist, heappop, heappush = math.dist, heapq.heappop, heapq.heappush
-    count = n
-    while count > budget and heap:
+    count = m
+    while count > target and heap:
         _, i, ver = heappop(heap)
         if ver != version[i]:
             continue
@@ -721,7 +752,7 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
             if not protected[j]:
                 heappush(heap, (_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j]))
 
-    kept = tuple(s for s, keep in zip(samples, alive) if keep)
+    kept = tuple(s for s, keep in zip(samples, alive * (n // m)) if keep)
     return DiscreteCurve(samples=kept, level=c.level, schedule=c.schedule)
 
 
@@ -788,11 +819,14 @@ def _pullback(
     """Lift ``curve`` through F_{u,v}, prune and rebase it.
 
     Also returns the sample count of the lifted curve before the prune.
+    A map that fails its normalization self-check is a numeric failure: the
+    gates accepted the pair, and ``read_critical_values`` has already ruled
+    out colliding critical values.
     """
     try:
         F = from_critical_values(u, v)
     except ValueError as exc:
-        raise StructuralError("critical value collision", str(exc)) from exc
+        raise NumericError(str(exc)) from exc
     s_next = pullback_schedule(curve.schedule, alpha, beta)
     lifted = pullback_curve(curve, F, s_next)
     before = len(lifted.samples)
@@ -916,7 +950,7 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
         report.status = "structural-error"
         report.message = str(exc)
         return report
-    except BranchTrackingError as exc:
+    except NumericError as exc:
         exc.iteration = n
         report.status = "diverged"
         report.message = f"numeric failure at iteration {n}: {exc}"

@@ -25,19 +25,27 @@ class StructuralError(QuadmateError):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-class BranchTrackingError(QuadmateError):
+class NumericError(QuadmateError):
+    """A pullback failed numerically; the run ends ``diverged``.
+
+    ``iteration`` is the pullback that failed, None until ``iterate`` fills
+    it in.
+    """
+
+    iteration: int | None = None
+
+
+class BranchTrackingError(NumericError):
     """Continuity of the square-root lift was lost near the given curve parameter.
 
     ``arc`` is the index, in child traversal order, of the arc being lifted or
-    stitched, and ``iteration`` the pullback that failed; each is None until
-    the code that knows it fills it in.
+    stitched; it is None until the code that knows it fills it in.
     """
 
     def __init__(self, parameter, message: str = "branch tracking lost", arc: int | None = None):
         self.parameter = parameter
         self.message = message
         self.arc = arc
-        self.iteration: int | None = None
         super().__init__(parameter, message)
 
     def __str__(self) -> str:

@@ -24,7 +24,7 @@ from .engine import (
     _pullback,
     read_critical_values,
 )
-from .errors import BranchTrackingError, StructuralError
+from .errors import NumericError, StructuralError
 from .ratmap import SpherePoint, chordal, coefficient_jet, from_critical_values
 
 # A point that moves further than _NEWTON_MOVE has jumped to another solution
@@ -187,7 +187,7 @@ def finish(
         pu, pv = read_critical_values(polished)
         confirmed, before = _pullback(polished, pu, pv, alpha, beta, s0, opts)
         cu, cv = read_critical_values(confirmed)
-    except (BranchTrackingError, StructuralError):
+    except (NumericError, StructuralError):
         return None
     if not all(
         chordal(confirmed.sample_at(t).position, z) < opts.tol for t, z in target.items()

@@ -274,6 +274,16 @@ class TestMate:
         assert "status: diverged" in out
         assert "collided" in out
 
+    def test_normalization_miss_is_a_numeric_failure(self, capsys):
+        # the gates accept (7/8, 25/32); its map misses the normalization
+        # self-check in pullback 19, which is no gate refusal
+        assert main(["check", "7/8", "25/32"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["mate", "7/8", "25/32", "--iters", "40"]) == EXIT_NUMERIC
+        out = capsys.readouterr().out
+        assert "status: diverged after 18 iterations" in out
+        assert "detail: numeric failure at iteration 19: normalization self-check failed" in out
+
 
 def test_cli_imports_only_the_standard_library():
     # compared against the interpreter's own start-up modules, since site may

@@ -333,6 +333,67 @@ def reference_prune(c, budget, tol):
     return DiscreteCurve(samples=kept, level=c.level, schedule=c.schedule)
 
 
+def reference_folded_prune(c, budget, tol):
+    """The greedy on a symmetric curve, over the whole loop, twins in pairs.
+
+    Sample k and its twin k + n/2 stand or fall together: the pair is
+    refused when either sweep, each between that sample's own neighbours,
+    comes within ``tol`` of a guard, and it is kept when either sample lies
+    in a mark's window.  Ties go to the lower lap-0 index.
+    """
+    n = len(c.samples)
+    h = n // 2
+    if n <= budget:
+        return c
+    pts = [stereographic(s.position) for s in c.samples]
+    marked = [i for i, s in enumerate(c.samples) if s.mark is not None]
+    guarded = [pts[i] for i in marked if c.samples[i].mark.point_id is not None]
+    w = engine._MARK_WINDOW
+    window = {(i + off) % n for i in marked for off in range(-w, w + 1)}
+    removable = [k not in window and k + h not in window for k in range(h)]
+    prv = [(i - 1) % n for i in range(n)]
+    nxt = [(i + 1) % n for i in range(n)]
+    alive = [True] * n
+    version = [0] * h
+
+    def deviation(i):
+        return reference_deviation(pts[prv[i]], pts[i], pts[nxt[i]])
+
+    def sweep_blocked(i):
+        a, b = prv[i], nxt[i]
+        reach = 2.0 * max(math.dist(pts[a], pts[i]), math.dist(pts[i], pts[b])) + tol
+        return any(
+            math.dist(g, pts[i]) <= reach
+            and engine._sweep_clearance(g, pts[a], pts[i], pts[b]) <= tol
+            for g in guarded
+        )
+
+    heap = [(deviation(k), k, 0) for k in range(h) if removable[k]]
+    heapq.heapify(heap)
+    count = n
+    while count > budget and heap:
+        dev, k, ver = heapq.heappop(heap)
+        if ver != version[k]:
+            continue
+        assert deviation(k + h) == dev
+        if sweep_blocked(k) or sweep_blocked(k + h):
+            continue
+        touched = set()
+        for i in (k, k + h):
+            alive[i] = False
+            a, b = prv[i], nxt[i]
+            nxt[a], prv[b] = b, a
+            touched |= {a % h, b % h}
+        count -= 2
+        for j in sorted(touched):
+            version[j] += 1
+            if removable[j]:
+                heapq.heappush(heap, (deviation(j), j, version[j]))
+
+    kept = tuple(s for i, s in enumerate(c.samples) if alive[i])
+    return DiscreteCurve(samples=kept, level=c.level, schedule=c.schedule)
+
+
 def synthetic_curve(positions, marks):
     """A closed curve through ``positions`` at parameters k/n.
 
@@ -693,15 +754,17 @@ class TestLapAntisymmetry:
         [
             (A14, A18, IterateOptions(max_iters=40, samples_per_arc=16, budget=256)),
             (A14, A14, IterateOptions(max_iters=5, tol=0.0, samples_per_arc=32, budget=2048)),
+            (A14, A18, IterateOptions(max_iters=40)),
         ],
     )
     def test_second_lap_is_the_first_negated(self, alpha, beta, opts, monkeypatch):
         # F(-z) = F(z): a child curve that covers the preimage of its parent
         # once passes each lap-0 sample's negative on lap 1, at the parameter
-        # moved by 1/2.  The lifted curve is read before prune, which need
-        # not keep the two laps alike
+        # moved by 1/2.  So does every lifted curve read before prune, and
+        # every pullback curve of level 1 or more that a record hands out,
+        # since prune folds a symmetric curve onto one lap
         pullback = engine.pullback_curve
-        lifted = []
+        lifted, hooked = [], []
 
         def recording(c, F, s_next):
             out = pullback(c, F, s_next)
@@ -709,10 +772,15 @@ class TestLapAntisymmetry:
             return out
 
         monkeypatch.setattr(engine, "pullback_curve", recording)
-        iterate(alpha, beta, opts)
+        report = iterate(alpha, beta, opts, curve_hook=hooked.append)
+        pulled = [
+            c for rec, c in zip(report.records, hooked) if rec.n >= 1 and rec.phase == "pullback"
+        ]
         assert len(lifted) >= 5
+        assert len(pulled) >= 5
+        assert any(len(c.samples) < rec.samples_before for rec, c in zip(report.records, hooked))
         half = Angle(1, 2)
-        for c in lifted:
+        for c in lifted + pulled:
             lap0 = [s for s in c.samples if s.parameter < half]
             lap1 = [s for s in c.samples if not s.parameter < half]
             assert len(lap0) == len(lap1)
@@ -965,6 +1033,95 @@ class TestPruneOracle:
         assert [c.samples.index(s) for s in out.samples] == sorted(protected)
 
 
+# a lap-0 sample of a symmetric curve; its twin on lap 1 is its negative
+lap_position = st.one_of(
+    st.none(),
+    st.sampled_from([0j, 1 + 0j, 1e200 + 0j]),
+    st.builds(
+        lambda e, phase: 10.0**e * cmath.exp(1j * phase),
+        st.floats(min_value=-3, max_value=3),
+        st.floats(min_value=0, max_value=2 * math.pi),
+    ),
+)
+
+
+def symmetric_curve(lap0, marks):
+    """A curve through ``lap0`` and then its negatives, marked at 0 and n/2.
+
+    ``marks`` adds marks as in :func:`synthetic_curve`; the anchor and its
+    twin are plumbing marks unless it names them.
+    """
+    h = len(lap0)
+    return synthetic_curve(
+        lap0 + [None if z is None else -z for z in lap0], {0: None, h: None, **marks}
+    )
+
+
+class TestFoldedPrune:
+    @given(
+        st.lists(lap_position, min_size=18, max_size=48),
+        st.dictionaries(
+            st.integers(min_value=1, max_value=95),
+            st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+            max_size=4,
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1e-6, max_value=0.3),
+    )
+    def test_symmetric_curves_prune_on_one_lap(self, lap0, marks, share, tol):
+        # marks on either lap, guarded or not; the output is the folded
+        # greedy's, symmetric, and keeps every mark
+        n = 2 * len(lap0)
+        c = symmetric_curve(lap0, {k: pid for k, pid in marks.items() if k < n})
+        marked = len(c.marked())
+        budget = marked + int(share * (n - 1 - marked))
+        want = reference_folded_prune(c, budget, tol)
+        out = prune(c, budget, tol)
+        assert len(out.samples) == len(want.samples)
+        assert all(x is y for x, y in zip(out.samples, want.samples))
+        kept = {c.samples.index(s) for s in out.samples}
+        assert all((k + n // 2) % n in kept for k in kept)
+        assert {k for k, s in enumerate(c.samples) if s.mark is not None} <= kept
+
+    # 80 samples a lap; the marks and their windows keep 27 of them
+    LAP0 = [cmath.exp(1j * math.pi * k / 80) * (1 + 0.1 * (k % 3)) for k in range(80)]
+    MARKS = {7: 1, 90: 2}
+
+    def test_odd_budget_prunes_to_one_less(self):
+        c = symmetric_curve(self.LAP0, self.MARKS)
+        out = prune(c, 61, 1e-6)
+        assert len(out.samples) == 60
+        assert out.samples == reference_folded_prune(c, 61, 1e-6).samples
+
+    def test_a_twin_sweep_across_a_guard_is_refused(self):
+        # the guard G sits on lap 0 at sample 0; samples 18-21 lie around -G,
+        # so the twin of B (sample 19) sweeps across G.  Only B (19) and C
+        # (20) lie outside the mark windows, and B has the smaller deviation,
+        # so the pair that goes first is C's
+        g, h = 0.5 + 0j, 1e-3
+        lap0 = [g + 0.3 * cmath.exp(2j * cmath.pi * k / 40) for k in range(40)]
+        lap0[0] = g
+        lap0[18:22] = [-g + h * (-1 - 1j), -g + h * 1j, -g + h * (1 - 1j), -g + h * (2 + 3j)]
+        c = symmetric_curve(lap0, {0: 1, 10: None, 29: None})
+        pts = [stereographic(s.position) for s in c.samples]
+        assert engine._sweep_clearance(pts[0], pts[58], pts[59], pts[60]) <= 1e-6
+        assert reference_deviation(pts[18], pts[19], pts[20]) < reference_deviation(
+            pts[19], pts[20], pts[21]
+        )
+        out = prune(c, 78, 1e-6)
+        assert out.samples == reference_folded_prune(c, 78, 1e-6).samples
+        assert set(c.samples) - set(out.samples) == {c.samples[20], c.samples[60]}
+
+    def test_twin_off_by_one_ulp_is_pruned_unfolded(self):
+        c = symmetric_curve(self.LAP0, self.MARKS)
+        positions = [s.position for s in c.samples]
+        z = positions[85]
+        positions[85] = complex(math.nextafter(z.real, math.inf), z.imag)
+        skewed = synthetic_curve(positions, {0: None, 80: None, **self.MARKS})
+        out = assert_prunes_like_the_reference(skewed, 61, 1e-6)
+        assert len(out.samples) == 61
+
+
 class TestIterate:
     def test_example_one_is_a_fixed_point(self):
         report = iterate(A14, A14, IterateOptions(max_iters=3, tol=0.0, samples_per_arc=32))
@@ -1000,6 +1157,16 @@ class TestIterate:
         # the marked count itself is a budget
         opts = IterateOptions(max_iters=1, tol=0.0, samples_per_arc=2, budget=10)
         assert iterate(A14, A18, opts).status == "max-iterations"
+
+    def test_normalization_miss_is_a_numeric_failure(self):
+        # a gate-accepted pair: the map of record 18 fails the normalization
+        # self-check by 1.5e-12, which ends the run as a numeric failure
+        report = iterate(Angle(7, 8), reduce(25, 32), IterateOptions(max_iters=40))
+        assert report.status == "diverged"
+        assert report.message.startswith(
+            "numeric failure at iteration 19: normalization self-check failed at (1+0j)"
+        )
+        assert report.records[-1].n == 18
 
     def test_parabolic_collision_detected(self):
         opts = IterateOptions(max_iters=40, samples_per_arc=32, budget=2048)
