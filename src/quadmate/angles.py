@@ -131,11 +131,15 @@ class OrbitInfo:
         return self.orbit[: self.preperiod + self.period]
 
 
+# the slot descriptors set the fields past the frozen __setattr__
+_set_num, _set_den = Angle.num.__set__, Angle.den.__set__
+
+
 def _canonical(num: int, den: int) -> Angle:
     """An ``Angle`` built without validation, for ``num/den`` known to be canonical."""
     a = object.__new__(Angle)
-    object.__setattr__(a, "num", num)
-    object.__setattr__(a, "den", den)
+    _set_num(a, num)
+    _set_den(a, den)
     return a
 
 
@@ -152,12 +156,16 @@ def reduce(p: int, q: int) -> Angle:
 
 def midpoint(a: Angle, b: Angle) -> Angle:
     """The midpoint of the shorter arc from ``a`` to ``b`` (counterclockwise on a tie)."""
-    fa = a.fraction
-    step = (b.fraction - fa) % 1
-    if step > Fraction(1, 2):
-        step -= 1
-    m = (fa + step / 2) % 1
-    return Angle(m.numerator, m.denominator)
+    # over the common denominator d: the counterclockwise step from a to b,
+    # made signed when it passes half a turn, and half of it added to a
+    d = a.den * b.den
+    na = a.num * b.den
+    step = (b.num * a.den - na) % d
+    if 2 * step > d:
+        step -= d
+    num = (2 * na + step) % (2 * d)
+    g = gcd(num, 2 * d)
+    return _canonical(num // g, 2 * d // g)
 
 
 def cyclic_between(a: Angle, b: Angle, c: Angle) -> bool:

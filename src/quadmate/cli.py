@@ -158,8 +158,8 @@ def _dump_hook(out_dir: Path):
 
     def write(curve: DiscreteCurve):
         s = curve.schedule
-        u = curve.sample_at(s.black_value).position
-        v = curve.sample_at(s.red_value).position
+        u = curve.point_at(s.black_value)
+        v = curve.point_at(s.red_value)
         (out_dir / f"curve-{curve.level:03d}.txt").write_text(dump_curve(curve, u, v))
 
     return write

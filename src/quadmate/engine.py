@@ -27,8 +27,11 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 
 from .angles import Angle, midpoint, reduce
 from .combinatorics import (
@@ -105,30 +108,59 @@ class CurveSample:
 
 @dataclass(frozen=True)
 class DiscreteCurve:
-    """Closed polyline on the sphere; samples ascend by parameter from 0."""
+    """Closed polyline on the sphere; samples ascend by parameter from 0.
 
-    samples: tuple[CurveSample, ...]
+    Sample k sits at parameter ``params[k]`` and position ``points[k]``;
+    ``marks`` pairs each marked sample's index with its mark, in ascending
+    index order.  Every step of the iteration reads and writes these arrays.
+    ``samples`` is a read-only view of them as :class:`CurveSample` objects,
+    built on first use and cached; nothing on the pullback or dump path
+    reads it.
+    """
+
+    params: tuple[Angle, ...]
+    points: tuple[SpherePoint, ...]
+    marks: tuple[tuple[int, Mark], ...]
     level: int
     schedule: Schedule
 
+    @classmethod
+    def from_samples(cls, samples, level: int, schedule: Schedule) -> DiscreteCurve:
+        """The curve through ``samples``, given in ascending parameter order."""
+        return cls(
+            tuple(s.parameter for s in samples),
+            tuple(s.position for s in samples),
+            tuple((k, s.mark) for k, s in enumerate(samples) if s.mark is not None),
+            level,
+            schedule,
+        )
+
+    @cached_property
+    def samples(self) -> tuple[CurveSample, ...]:
+        mark_at = dict(self.marks)
+        return tuple(
+            CurveSample(t, p, mark_at.get(k))
+            for k, (t, p) in enumerate(zip(self.params, self.points))
+        )
+
     def index(self, t: Angle) -> int:
         """The position of the sample at parameter ``t``, by bisection."""
-        lo, hi = 0, len(self.samples)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.samples[mid].parameter < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.samples) and self.samples[lo].parameter == t:
-            return lo
+        params = self.params
+        k = bisect_left(params, t)
+        if k < len(params) and params[k] == t:
+            return k
         raise KeyError(t)
 
+    def point_at(self, t: Angle) -> SpherePoint:
+        return self.points[self.index(t)]
+
     def sample_at(self, t: Angle) -> CurveSample:
-        return self.samples[self.index(t)]
+        k = self.index(t)
+        mark = next((m for i, m in self.marks if i == k), None)
+        return CurveSample(self.params[k], self.points[k], mark)
 
     def marked(self) -> tuple[CurveSample, ...]:
-        return tuple(s for s in self.samples if s.mark is not None)
+        return tuple(CurveSample(self.params[k], self.points[k], m) for k, m in self.marks)
 
 
 @dataclass(frozen=True)
@@ -199,27 +231,30 @@ def init_embedding(s: Schedule, samples_per_arc: int) -> DiscreteCurve:
     """The level-0 curve: the unit circle, parameter t at e^{2 pi i t}."""
     if s.level != 0:
         raise ValueError("initial embedding requires a level-0 schedule")
-    samples: list[CurveSample] = []
-    marks = list(s.marks)
-    for k, m in enumerate(marks):
+    # the marks ascend from 0, so the arcs between them, the last one
+    # closing at 1, are laid down in ascending order
+    params: list[Angle] = []
+    points: list[SpherePoint] = []
+    marks: list[tuple[int, Mark]] = []
+    for k, m in enumerate(s.marks):
         t0 = m.parameter.fraction
-        t1 = marks[(k + 1) % len(marks)].parameter.fraction
+        t1 = s.marks[(k + 1) % len(s.marks)].parameter.fraction
         if t1 <= t0:
             t1 += 1
-        pos = 1.0 + 0.0j if m.parameter == ZERO else _unit_circle(t0)
-        samples.append(CurveSample(m.parameter, pos, m))
+        marks.append((len(params), m))
+        params.append(m.parameter)
+        points.append(1.0 + 0.0j if m.parameter == ZERO else _unit_circle(t0))
         for j in range(1, samples_per_arc + 1):
             t = t0 + (t1 - t0) * j / (samples_per_arc + 1)
-            t %= 1
-            samples.append(CurveSample(reduce(t.numerator, t.denominator), _unit_circle(t)))
-    samples.sort(key=lambda smp: smp.parameter)
-    return DiscreteCurve(samples=tuple(samples), level=0, schedule=s)
+            params.append(reduce(t.numerator, t.denominator))
+            points.append(_unit_circle(t))
+    return DiscreteCurve(tuple(params), tuple(points), tuple(marks), 0, s)
 
 
 def read_critical_values(c: DiscreteCurve) -> tuple[SpherePoint, SpherePoint]:
     """The embedded critical values: positions at the two value parameters."""
-    u = c.sample_at(c.schedule.black_value).position
-    v = c.sample_at(c.schedule.red_value).position
+    u = c.point_at(c.schedule.black_value)
+    v = c.point_at(c.schedule.red_value)
     if chordal(u, v) < _CRITICAL_COLLISION_TOL:
         raise StructuralError(
             "critical value collision",
@@ -243,7 +278,8 @@ def _slerp_mid(a: SpherePoint, b: SpherePoint) -> tuple[bool, SpherePoint]:
     """
     pa, pb = stereographic(a), stereographic(b)
     s = tuple(x + y for x, y in zip(pa, pb))
-    n = math.sqrt(sum(x * x for x in s))
+    # written out: sum() over floats rounds differently from Python 3.12 on
+    n = math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
     if n < 1e-12:
         return False, None
     return True, from_sphere(tuple(x / n for x in s))
@@ -405,19 +441,19 @@ def pullback_curve(
     """
     # lap 0 of the child traversal: the parent loop with its parameters
     # halved, closed at 1/2, where lap 1 begins at the anchor's position
-    params = [smp.parameter.half(0) for smp in c.samples] + [HALF]
-    positions = [smp.position for smp in c.samples] + [c.samples[0].position]
+    params = [t.half(0) for t in c.params] + [HALF]
+    positions = [*c.points, c.points[0]]
 
     # the child marks are the halves of the parent's marks in order, lap 0
     # then lap 1, so they sit at the parent's marked indices on each lap
-    marked = [k for k, smp in enumerate(c.samples) if smp.mark is not None]
+    marked = [k for k, _ in c.marks]
     arc_marks = s_next.marks
     m = len(marked)
     if 2 * m != len(arc_marks):
         raise AssertionError("child schedule does not halve the parent's marks")
     if params[marked[0]] != ZERO:
         raise AssertionError("child traversal lost its anchor mark")
-    boundaries = marked + [len(c.samples)]
+    boundaries = marked + [len(c.params)]
     lifts: list[list[tuple[Angle, SpherePoint]]] = []
     for k in range(m):
         start, end = boundaries[k], boundaries[k + 1]
@@ -436,14 +472,9 @@ def pullback_curve(
         except BranchTrackingError as exc:
             exc.arc = k
             raise
-    # each lap-1 arc is its lap-0 twin moved by 1/2 (see above)
-    for k in range(m):
-        lift = lifts[k]
-        lifts.append(
-            [(arc_marks[k + m].parameter, lift[0][1])]
-            + [(t.opposite(), p) for t, p in lift[1:-1]]
-            + [(arc_marks[(k + m + 1) % (2 * m)].parameter, lift[-1][1])]
-        )
+    # each lap-1 arc passes its lap-0 twin's positions (see above), so the
+    # stitching reads arc k + m through the twin's lift
+    arcs = lifts + lifts
 
     crit_pos = {Side.BLACK: 0.0 + 0.0j, Side.RED: None}
     base_params = {t for t, _ in s_next.base_points}
@@ -454,22 +485,22 @@ def pullback_curve(
         k for k, m in enumerate(arc_marks)
         if k == 0 or m.kind is MarkKind.CRITICAL_POINT
     ]
-    chain_stops = chain_starts[1:] + [len(lifts)]
+    chain_stops = chain_starts[1:] + [len(arcs)]
 
     # within a chain, continuity pins every sign relative to the leading arc
-    rel: list[int] = [1] * len(lifts)
+    rel: list[int] = [1] * len(arcs)
     for start, stop in zip(chain_starts, chain_stops):
         mark = arc_marks[start]
         if mark.kind is MarkKind.CRITICAL_POINT and chordal(
-            lifts[start][0][1], crit_pos[mark.color]
+            arcs[start][0][1], crit_pos[mark.color]
         ) > _STITCH_TOL:
             raise BranchTrackingError(mark.parameter, "lift misses the critical point", arc=start)
         for k in range(start + 1, stop):
-            prev_end = lifts[k - 1][-1][1]
+            prev_end = arcs[k - 1][-1][1]
             if rel[k - 1] == -1:
                 prev_end = _neg(prev_end)
-            dp = chordal(lifts[k][0][1], prev_end)
-            dm = chordal(_neg(lifts[k][0][1]), prev_end)
+            dp = chordal(arcs[k][0][1], prev_end)
+            dm = chordal(_neg(arcs[k][0][1]), prev_end)
             if min(dp, dm) > _STITCH_TOL:
                 raise BranchTrackingError(
                     arc_marks[k].parameter, "arc endpoints fail to meet", arc=k
@@ -483,23 +514,23 @@ def pullback_curve(
         for k in range(chain_starts[ci], chain_stops[ci]):
             t = arc_marks[k].parameter
             if t in base_params:
-                pos = lifts[k][0][1] if lead * rel[k] == 1 else _neg(lifts[k][0][1])
-                score = max(score, chordal(pos, c.sample_at(t).position))
+                pos = arcs[k][0][1] if lead * rel[k] == 1 else _neg(arcs[k][0][1])
+                score = max(score, chordal(pos, c.point_at(t)))
                 seen = True
-        if chain_stops[ci] == len(lifts):
-            tail = lifts[-1][-1][1] if lead * rel[-1] == 1 else _neg(lifts[-1][-1][1])
+        if chain_stops[ci] == len(arcs):
+            tail = arcs[-1][-1][1] if lead * rel[-1] == 1 else _neg(arcs[-1][-1][1])
             score = max(score, chordal(tail, 1.0 + 0.0j))
             seen = True
         return score if seen else math.inf
 
-    signs: list[int] = [0] * len(lifts)
+    signs: list[int] = [0] * len(arcs)
     for ci, (start, stop) in enumerate(zip(chain_starts, chain_stops)):
         sp, sm = chain_score(ci, 1), chain_score(ci, -1)
         if min(sp, sm) <= _ISOTOPY_DECISIVE and min(sp, sm) <= _ISOTOPY_RATIO * max(sp, sm):
             lead = 1 if sp <= sm else -1
         elif ci == 0:
-            lead = 1 if chordal(lifts[0][0][1], 1.0 + 0.0j) <= chordal(
-                _neg(lifts[0][0][1]), 1.0 + 0.0j
+            lead = 1 if chordal(arcs[0][0][1], 1.0 + 0.0j) <= chordal(
+                _neg(arcs[0][0][1]), 1.0 + 0.0j
             ) else -1
         else:
             mark = arc_marks[start]
@@ -507,11 +538,11 @@ def pullback_curve(
             n_hat = stereographic(cp)
             back = next(
                 (p if signs[start - 1] == 1 else _neg(p)
-                 for _, p in reversed(lifts[start - 1])
+                 for _, p in reversed(arcs[start - 1])
                  if chordal(p, cp) > 1e-9),
                 None,
             )
-            ahead = next((p for _, p in lifts[start][1:] if chordal(p, cp) > 1e-9), None)
+            ahead = next((p for _, p in arcs[start][1:] if chordal(p, cp) > 1e-9), None)
             if back is None or ahead is None:
                 raise BranchTrackingError(
                     mark.parameter, "curve stalls at a critical point", arc=start
@@ -526,29 +557,36 @@ def pullback_curve(
         for k in range(start, stop):
             signs[k] = lead * rel[k]
 
-    closing = lifts[-1][-1][1] if signs[-1] == 1 else _neg(lifts[-1][-1][1])
+    closing = arcs[-1][-1][1] if signs[-1] == 1 else _neg(arcs[-1][-1][1])
     if chordal(closing, 1.0 + 0.0j) > _STITCH_TOL:
         raise BranchTrackingError(
-            ZERO, "lifted curve fails to close at the anchor", arc=len(lifts) - 1
+            ZERO, "lifted curve fails to close at the anchor", arc=len(arcs) - 1
         )
 
-    # an arc's last entry is shared with the next arc's head
-    samples: list[CurveSample] = []
-    for lift, sign, mark in zip(lifts, signs, arc_marks):
-        t, p = lift[0]
-        samples.append(CurveSample(t, p if sign == 1 else _neg(p), mark))
-        if sign == 1:
-            samples += [CurveSample(t, p) for t, p in lift[1:-1]]
-        else:
-            samples += [CurveSample(t, None if p is None else -p) for t, p in lift[1:-1]]
-    return DiscreteCurve(samples=tuple(samples), level=s_next.level, schedule=s_next)
+    # an arc's last entry is shared with the next arc's head.  A lap-1 arc
+    # takes its twin's parameters moved by 1/2, between the child marks, and
+    # shares its twin's positions, each arc negated by its own sign
+    lap0 = [tuple(zip(*lift[:-1])) for lift in lifts]
+    lap1 = [
+        (arc_marks[k + m].parameter, *[t.opposite() for t in ts[1:]])
+        for k, (ts, _) in enumerate(lap0)
+    ]
+    out_params: list[Angle] = []
+    out_points: list[SpherePoint] = []
+    out_marks: list[tuple[int, Mark]] = []
+    for k, (sign, mark) in enumerate(zip(signs, arc_marks)):
+        ts, ps = lap0[k] if k < m else (lap1[k - m], lap0[k - m][1])
+        out_marks.append((len(out_params), mark))
+        out_params += ts
+        out_points += ps if sign == 1 else [None if p is None else -p for p in ps]
+    return DiscreteCurve(
+        tuple(out_params), tuple(out_points), tuple(out_marks), s_next.level, s_next
+    )
 
 
 def relabel(c_next: DiscreteCurve) -> dict[int, SpherePoint]:
     """The embedding of the postcritical set read off the lifted curve."""
-    return {
-        pid: c_next.sample_at(t).position for t, pid in c_next.schedule.base_points
-    }
+    return {pid: c_next.point_at(t) for t, pid in c_next.schedule.base_points}
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +708,9 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     sample's sphere point inline, with the operations of
     :func:`stereographic`.
     """
-    samples = c.samples
-    n = len(samples)
-    marked = [i for i, s in enumerate(samples) if s.mark is not None]
+    points = c.points
+    n = len(points)
+    marked = [i for i, _ in c.marks]
     if budget < len(marked):
         raise ValueError(f"budget {budget} below the marked-sample count {len(marked)}")
     if n <= budget:
@@ -682,16 +720,16 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     m = n // 2
     if not (
         n % 2 == 0
-        and samples[0].mark is not None
-        and samples[m].mark is not None
-        and all(_neg(a.position) == b.position for a, b in zip(samples, samples[m:]))
+        and 0 in marked
+        and m in marked
+        and all(_neg(a) == b for a, b in zip(points, points[m:]))
     ):
         m = n
     target = budget if m == n else budget // 2
 
     pts = []
-    for s in samples[:m]:
-        z = s.position  # stereographic(z), inline for a finite complex z
+    for z in points[:m]:
+        # stereographic(z), inline for a finite complex z
         if type(z) is complex:
             try:
                 r2 = abs(z) ** 2
@@ -704,7 +742,7 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
         pts.append(stereographic(z))
     # folded, a lap-1 guard mirrors its twin's point, and the mirrors of
     # the guards join them
-    guarded = [pts[i % m] for i in marked if samples[i].mark.point_id is not None]
+    guarded = [pts[i % m] for i, mark in c.marks if mark.point_id is not None]
     if m < n:
         guarded += [(-x, -y, z) for x, y, z in guarded]
     alive = [True] * m
@@ -752,8 +790,20 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
             if not protected[j]:
                 heappush(heap, (_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j]))
 
-    kept = tuple(s for s, keep in zip(samples, alive * (n // m)) if keep)
-    return DiscreteCurve(samples=kept, level=c.level, schedule=c.schedule)
+    # every mark survives; its new index counts the survivors before it
+    keep = alive * (n // m)
+    marks, at, before = [], 0, 0
+    for i, mark in c.marks:
+        before += keep[at:i].count(True)
+        marks.append((before, mark))
+        at = i
+    return DiscreteCurve(
+        tuple(compress(c.params, keep)),
+        tuple(compress(points, keep)),
+        tuple(marks),
+        c.level,
+        c.schedule,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -766,19 +816,13 @@ def _rebase(c: DiscreteCurve, s0: Schedule) -> DiscreteCurve:
     The postcritical parameters and the anchor recur at every level, so the
     rebased curve carries the level-0 schedule at its own level, and the next
     pullback rebuilds critical-point marks from it; this keeps the schedule
-    size constant across iterations.
+    size constant across iterations.  Doubling maps those parameters into
+    themselves, so each is a half of a parent mark, which the lift marks;
+    only the marked samples are read.
     """
     mark_of = {m.parameter: m for m in s0.marks}
-    samples = []
-    for smp in c.samples:
-        t = smp.parameter
-        m = mark_of.get(t)
-        samples.append(
-            smp if m is None and smp.mark is None else CurveSample(t, smp.position, m)
-        )
-    return DiscreteCurve(
-        samples=tuple(samples), level=c.level, schedule=replace(s0, level=c.level)
-    )
+    marks = tuple((i, mark_of[c.params[i]]) for i, _ in c.marks if c.params[i] in mark_of)
+    return DiscreteCurve(c.params, c.points, marks, c.level, replace(s0, level=c.level))
 
 
 def _collision(embedded: dict[int, SpherePoint]) -> tuple[int, int] | None:
@@ -829,7 +873,7 @@ def _pullback(
         raise NumericError(str(exc)) from exc
     s_next = pullback_schedule(curve.schedule, alpha, beta)
     lifted = pullback_curve(curve, F, s_next)
-    before = len(lifted.samples)
+    before = len(lifted.params)
     lifted = prune(lifted, opts.budget, _PRUNE_TOL)
     return _rebase(lifted, s0), before
 
@@ -881,7 +925,7 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
         curve = init_embedding(s0, opts.samples_per_arc)
         u, v = read_critical_values(curve)
         report.records.append(
-            IterationRecord(0, u, v, len(curve.samples), len(curve.samples), None)
+            IterationRecord(0, u, v, len(curve.params), len(curve.params), None)
         )
         if curve_hook is not None:
             curve_hook(curve)
@@ -912,7 +956,7 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
                 collided = _collision(relabel(curve))
                 if collided is not None:
                     report.records.append(
-                        IterationRecord(n, u1, v1, before, len(curve.samples), None)
+                        IterationRecord(n, u1, v1, before, len(curve.params), None)
                     )
                     report.status = "diverged"
                     report.message = (
@@ -921,7 +965,7 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
                     )
                     break
                 inc = chordal(u, u1) + chordal(v, v1)
-                steps = [(IterationRecord(n, u1, v1, before, len(curve.samples), inc), curve)]
+                steps = [(IterationRecord(n, u1, v1, before, len(curve.params), inc), curve)]
             for rec, c in steps:
                 report.records.append(rec)
                 if curve_hook is not None:

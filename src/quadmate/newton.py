@@ -16,7 +16,6 @@ from .angles import Angle
 from .combinatorics import Schedule
 from .engine import (
     ZERO,
-    CurveSample,
     DiscreteCurve,
     IterateOptions,
     IterationRecord,
@@ -132,7 +131,7 @@ def _polish(curve: DiscreteCurve, s0: Schedule) -> dict[Angle, complex] | None:
     between F(p_t) and p_{2t}) is below ``_NEWTON_RESIDUAL``, no postcritical
     point moves more than ``_NEWTON_MOVE`` and no two of them collide.
     """
-    before = {t: curve.sample_at(t).position for t, _ in s0.base_points}
+    before = {t: curve.point_at(t) for t, _ in s0.base_points}
     solved = solve_relations(s0, before)
     if solved is None:
         return None
@@ -172,15 +171,11 @@ def finish(
     if target is None:
         return None
     level = curve.level + 1
+    points = list(curve.points)
+    for t, z in target.items():
+        points[curve.index(t)] = z
     polished = DiscreteCurve(
-        samples=tuple(
-            CurveSample(s.parameter, target[s.parameter], s.mark)
-            if s.parameter in target
-            else s
-            for s in curve.samples
-        ),
-        level=level,
-        schedule=replace(curve.schedule, level=level),
+        curve.params, tuple(points), curve.marks, level, replace(curve.schedule, level=level)
     )
     u, v = read_critical_values(curve)
     try:
@@ -190,15 +185,15 @@ def finish(
     except (NumericError, StructuralError):
         return None
     if not all(
-        chordal(confirmed.sample_at(t).position, z) < opts.tol for t, z in target.items()
+        chordal(confirmed.point_at(t), z) < opts.tol for t, z in target.items()
     ):
         return None
-    size = len(polished.samples)
+    size = len(polished.params)
     newton = IterationRecord(
         level, pu, pv, size, size, chordal(u, pu) + chordal(v, pv), "newton"
     )
     confirm = IterationRecord(
-        level + 1, cu, cv, before, len(confirmed.samples),
+        level + 1, cu, cv, before, len(confirmed.params),
         chordal(pu, cu) + chordal(pv, cv), "confirm",
     )
     return [(newton, polished), (confirm, confirmed)]

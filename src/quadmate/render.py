@@ -75,7 +75,7 @@ def _fmt(x: float) -> str:
 def render_sphere(c: DiscreteCurve, view: Vec3) -> str:
     """One SVG 1.1 document showing the curve from the given view axis."""
     frame = _frame(view)
-    pts = [_project(stereographic(s.position), frame) for s in c.samples]
+    pts = [_project(stereographic(z), frame) for z in c.points]
     half = _SIZE / 2.0
 
     # split the closed polyline into maximal near-side and far-side runs,
@@ -108,12 +108,12 @@ def render_sphere(c: DiscreteCurve, view: Vec3) -> str:
                 f'<polyline points="{points}" fill="none" stroke="#1f4fa0" '
                 f'stroke-width="1.2" stroke-opacity="{opacity}"/>'
             )
-    for i, s in enumerate(c.samples):
-        if s.mark is None or s.mark.point_id is None and s.mark.color is None:
+    for i, mark in c.marks:
+        if mark.point_id is None and mark.color is None:
             continue
         x, y, depth = pts[i]
         opacity = "1.0" if depth >= 0 else str(_FAR_OPACITY)
-        color = "#c03030" if s.mark.color is not None else "#202020"
+        color = "#c03030" if mark.color is not None else "#202020"
         parts.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}" '
             f'fill-opacity="{opacity}"/>'
@@ -121,7 +121,7 @@ def render_sphere(c: DiscreteCurve, view: Vec3) -> str:
         parts.append(
             f'<text x="{_fmt(x + 5.0)}" y="{_fmt(y - 5.0)}" font-size="11" '
             f'font-family="monospace" fill="{color}" fill-opacity="{opacity}">'
-            f"{s.mark.label()}</text>"
+            f"{mark.label()}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .angles import Angle
 from .combinatorics import Mark, MarkKind, Schedule, Side
-from .engine import CurveSample, DiscreteCurve, RunReport
+from .engine import DiscreteCurve, RunReport
 from .errors import SerializationError
 from .ratmap import SpherePoint
 
@@ -48,9 +48,9 @@ def dump_curve(c: DiscreteCurve, u: SpherePoint = None, v: SpherePoint = None) -
         pid = "-" if m.point_id is None else str(m.point_id)
         color = "-" if m.color is None else m.color.value
         lines.append(f"{m.parameter} {m.kind.value} {pid} {color}")
-    lines.append(f"samples {len(c.samples)}")
-    for smp in c.samples:
-        lines.append(f"{smp.parameter} {_fmt_point(smp.position)}")
+    lines.append(f"samples {len(c.params)}")
+    for t, z in zip(c.params, c.points):
+        lines.append(f"{t} {_fmt_point(z)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -129,10 +129,10 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
     u = _parse_point(rest, line)
     line, rest = _keyed(r, "v")
     v = _parse_point(rest, line)
-    line, rest = _keyed(r, "black-value")
-    black_value = _parse_angle(rest[0], line)
-    line, rest = _keyed(r, "red-value")
-    red_value = _parse_angle(rest[0], line)
+    black_line, rest = _keyed(r, "black-value")
+    black_value = _parse_angle(rest[0], black_line)
+    red_line, rest = _keyed(r, "red-value")
+    red_value = _parse_angle(rest[0], red_line)
 
     base: list[tuple[Angle, int]] = []
     while (nxt := r.peek()) is not None and nxt.startswith("base "):
@@ -144,6 +144,8 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
     line, rest = _keyed(r, "marks")
     n_marks = _parse_int(rest[0], "mark count", line)
     marks: list[Mark] = []
+    # the parameters the curve must carry a sample at, with their lines
+    needed = []
     for _ in range(n_marks):
         line, text = r.next()
         parts = text.split()
@@ -162,20 +164,25 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
         else:
             raise SerializationError(f"unknown mark color {parts[3]!r}", line)
         marks.append(Mark(t, _KINDS[parts[1]], point_id=pid, color=color))
+        needed.append(("mark", t, line))
+    needed += [("black value", black_value, black_line), ("red value", red_value, red_line)]
 
     line, rest = _keyed(r, "samples")
     n_samples = _parse_int(rest[0], "sample count", line)
     mark_of = {m.parameter: m for m in marks}
-    samples: list[CurveSample] = []
-    prev: Angle | None = None
+    params: list[Angle] = []
+    points: list[SpherePoint] = []
+    marked: list[tuple[int, Mark]] = []
     for _ in range(n_samples):
         line, text = r.next()
         parts = text.split()
         t = _parse_angle(parts[0], line)
-        if prev is not None and not prev < t:
+        if params and not params[-1] < t:
             raise SerializationError(f"samples out of order at parameter {t}", line)
-        prev = t
-        samples.append(CurveSample(t, _parse_point(parts[1:], line), mark_of.get(t)))
+        if t in mark_of:
+            marked.append((len(params), mark_of[t]))
+        params.append(t)
+        points.append(_parse_point(parts[1:], line))
     line, text = r.next()
     if text != "end":
         raise SerializationError(f"expected 'end', got {text!r}", line)
@@ -187,7 +194,13 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
         black_value=black_value,
         red_value=red_value,
     )
-    return DiscreteCurve(samples=tuple(samples), level=level, schedule=schedule), u, v
+    curve = DiscreteCurve(tuple(params), tuple(points), tuple(marked), level, schedule)
+    for what, t, line in needed:
+        try:
+            curve.index(t)
+        except KeyError:
+            raise SerializationError(f"{what} at parameter {t} has no sample", line) from None
+    return curve, u, v
 
 
 def format_report(report: RunReport, run_id: str) -> str:

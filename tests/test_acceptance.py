@@ -194,9 +194,9 @@ class TestCriterion7InvariantSuites:
 
         # prune order preservation: output is a subsequence keeping all marks
         pruned = prune(c1, 250, 1e-6)
-        it = iter(c1.samples)
-        for smp in pruned.samples:
-            assert any(orig is smp for orig in it)
+        it = iter(zip(c1.params, c1.points))
+        for t, p in zip(pruned.params, pruned.points):
+            assert any(orig_t is t and orig_p is p for orig_t, orig_p in it)
         assert tuple(s.mark for s in pruned.samples if s.mark) == c1.schedule.marks
 
         # lamination non-crossing

@@ -254,7 +254,7 @@ def reference_pullback_curve(
             samples += [CurveSample(t, p) for t, p in lift[1:-1]]
         else:
             samples += [CurveSample(t, None if p is None else -p) for t, p in lift[1:-1]]
-    return DiscreteCurve(samples=tuple(samples), level=s_next.level, schedule=s_next)
+    return DiscreteCurve.from_samples(samples, s_next.level, s_next)
 
 
 def reference_deviation(prev, cur, nxt) -> float:
@@ -330,7 +330,7 @@ def reference_prune(c, budget, tol):
                 )
 
     kept = tuple(s for i, s in enumerate(c.samples) if alive[i])
-    return DiscreteCurve(samples=kept, level=c.level, schedule=c.schedule)
+    return DiscreteCurve.from_samples(kept, c.level, c.schedule)
 
 
 def reference_folded_prune(c, budget, tol):
@@ -391,7 +391,7 @@ def reference_folded_prune(c, budget, tol):
                 heapq.heappush(heap, (deviation(j), j, version[j]))
 
     kept = tuple(s for i, s in enumerate(c.samples) if alive[i])
-    return DiscreteCurve(samples=kept, level=c.level, schedule=c.schedule)
+    return DiscreteCurve.from_samples(kept, c.level, c.schedule)
 
 
 def synthetic_curve(positions, marks):
@@ -421,13 +421,20 @@ def synthetic_curve(positions, marks):
         black_value=samples[0].parameter,
         red_value=samples[0].parameter,
     )
-    return DiscreteCurve(samples=tuple(samples), level=0, schedule=schedule)
+    return DiscreteCurve.from_samples(samples, 0, schedule)
+
+
+def assert_same_samples(got, want):
+    """Sample for sample the same parameter and point objects, and the same marks."""
+    assert len(got.params) == len(want.params)
+    assert all(x is y for x, y in zip(got.params, want.params))
+    assert all(x is y for x, y in zip(got.points, want.points))
+    assert got.marks == want.marks
 
 
 def assert_prunes_like_the_reference(c, budget, tol):
     got, want = prune(c, budget, tol), reference_prune(c, budget, tol)
-    assert len(got.samples) == len(want.samples)
-    assert all(x is y for x, y in zip(got.samples, want.samples))
+    assert_same_samples(got, want)
     return got
 
 
@@ -504,7 +511,7 @@ class TestReadCriticalValues:
             ), m)
             for m in s0.marks
         )
-        c = DiscreteCurve(samples=samples, level=0, schedule=s0)
+        c = DiscreteCurve.from_samples(samples, 0, s0)
         with pytest.raises(StructuralError, match="critical value collision"):
             read_critical_values(c)
 
@@ -850,10 +857,10 @@ class TestPrune:
     def test_output_is_a_subsequence(self, ex2_level1):
         _, _, c1 = ex2_level1
         out = prune(c1, 300, 1e-6)
-        it = iter(c1.samples)
-        for smp in out.samples:
-            for orig in it:
-                if orig is smp:
+        it = iter(zip(c1.params, c1.points))
+        for t, p in zip(out.params, out.points):
+            for orig_t, orig_p in it:
+                if orig_t is t and orig_p is p:
                     break
             else:
                 pytest.fail("prune reordered or invented a sample")
@@ -945,9 +952,7 @@ class TestPruneOracle:
         assert len(calls) == report.records[-1].n
         assert sum(len(out.samples) < len(c.samples) for c, _, _, out in calls) >= 3
         for c, budget, tol, out in calls:
-            want = reference_prune(c, budget, tol)
-            assert len(out.samples) == len(want.samples)
-            assert all(x is y for x, y in zip(out.samples, want.samples))
+            assert_same_samples(out, reference_prune(c, budget, tol))
 
     @given(st.lists(position, min_size=3, max_size=12))
     def test_sphere_points_are_stereographic(self, positions):
@@ -1077,8 +1082,7 @@ class TestFoldedPrune:
         budget = marked + int(share * (n - 1 - marked))
         want = reference_folded_prune(c, budget, tol)
         out = prune(c, budget, tol)
-        assert len(out.samples) == len(want.samples)
-        assert all(x is y for x, y in zip(out.samples, want.samples))
+        assert_same_samples(out, want)
         kept = {c.samples.index(s) for s in out.samples}
         assert all((k + n // 2) % n in kept for k in kept)
         assert {k for k, s in enumerate(c.samples) if s.mark is not None} <= kept
@@ -1120,6 +1124,48 @@ class TestFoldedPrune:
         skewed = synthetic_curve(positions, {0: None, 80: None, **self.MARKS})
         out = assert_prunes_like_the_reference(skewed, 61, 1e-6)
         assert len(out.samples) == 61
+
+
+class TestCurveArrays:
+    @given(
+        st.lists(position, min_size=1, max_size=12),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=11),
+            st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+            max_size=4,
+        ),
+    )
+    def test_the_sample_view_agrees_with_the_arrays(self, positions, marks):
+        c = synthetic_curve(positions, {k: pid for k, pid in marks.items() if k < len(positions)})
+        assert DiscreteCurve.from_samples(c.samples, c.level, c.schedule) == c
+        for t in c.params:
+            assert c.sample_at(t) == c.samples[c.index(t)]
+        assert c.marked() == tuple(s for s in c.samples if s.mark is not None)
+
+    def test_a_run_builds_no_sample_objects(self, tmp_path, monkeypatch):
+        # the pullback, prune, rebase, Newton finish, dumps and figures all
+        # read and write the arrays; only the view builds CurveSamples
+        from quadmate.cli import main
+
+        built = []
+        init = CurveSample.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CurveSample, "__init__", counting)
+        report = iterate(A14, A18)
+        assert [r.phase for r in report.records[-2:]] == ["newton", "confirm"]
+        code = main(["mate", "1/4", "1/8", "--iters", "40", "--tol", "1e-9", "--samples", "8",
+                     "--budget", "128", "--dump", str(tmp_path), "--render"])
+        assert code == 0
+        assert len(list(tmp_path.rglob("curve-*.txt"))) > 20
+        assert built == []
+        # the view is built on first use, once
+        view = report.final_curve.samples
+        assert len(built) == len(view) == len(report.final_curve.params)
+        assert report.final_curve.samples is view
 
 
 class TestIterate:

@@ -97,9 +97,9 @@ class TestRenderViews:
         samples = list(level0.samples)
         k = next(i for i, smp in enumerate(samples) if smp.mark is None)
         samples[k] = CurveSample(samples[k].parameter, 1e200 + 0j)
-        far = DiscreteCurve(tuple(samples), level0.level, level0.schedule)
+        far = DiscreteCurve.from_samples(samples, level0.level, level0.schedule)
         samples[k] = CurveSample(samples[k].parameter, None)
-        at_inf = DiscreteCurve(tuple(samples), level0.level, level0.schedule)
+        at_inf = DiscreteCurve.from_samples(samples, level0.level, level0.schedule)
         loaded, _, _ = load_curve(dump_curve(far))
         assert loaded.samples[k].position == 1e200 + 0j
         assert render_views(loaded) == render_views(at_inf)

@@ -111,6 +111,29 @@ class TestParseErrors:
         with pytest.raises(SerializationError, match="out of order"):
             load_curve("\n".join(lines))
 
+    def test_missing_marked_sample_rejected(self):
+        # the sample at the black value carries a mark; without it the mark
+        # line is refused, not the read of the critical values later
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c, 1j, -1j).splitlines()
+        start = next(i for i, l in enumerate(lines) if l.startswith("samples "))
+        lines[start] = f"samples {len(c.params) - 1}"
+        lines.remove(next(l for l in lines[start:] if l.startswith("1/4 ")))
+        mark = lines.index("1/4 postcritical 1 -")
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert err.value.line == mark + 1
+        assert str(err.value) == f"line {mark + 1}: mark at parameter 1/4 has no sample"
+
+    def test_value_without_sample_rejected(self):
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c, 1j, -1j).splitlines()
+        at = lines.index("red-value 7/8")
+        lines[at] = "red-value 1/1000"
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: red value at parameter 1/1000 has no sample"
+
 
 class TestReportFormat:
     def test_stable_text(self):
