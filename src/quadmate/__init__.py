@@ -17,7 +17,6 @@ from .combinatorics import (
     pullback_schedule,
 )
 from .engine import (
-    CurveSample,
     DiscreteCurve,
     IterateOptions,
     IterationRecord,

@@ -152,15 +152,16 @@ def _run_id(alpha: Angle, beta: Angle, opts: IterateOptions) -> str:
 def _dump_hook(out_dir: Path):
     """A curve hook that writes each record's curve dump as the record is made.
 
-    Every curve ``iterate`` hands out matches its record: the level is the
-    record's n and the positions at the two value parameters are its u and v.
+    Every curve ``iterate`` hands out matches its record: its schedule's level
+    is the record's n and the positions at the two value parameters are its u
+    and v.
     """
 
     def write(curve: DiscreteCurve):
         s = curve.schedule
         u = curve.point_at(s.black_value)
         v = curve.point_at(s.red_value)
-        (out_dir / f"curve-{curve.level:03d}.txt").write_text(dump_curve(curve, u, v))
+        (out_dir / f"curve-{s.level:03d}.txt").write_text(dump_curve(curve, u, v))
 
     return write
 

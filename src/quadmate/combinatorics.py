@@ -318,17 +318,6 @@ class Schedule:
     black_value: Angle  # curve parameter of the black critical value (alpha)
     red_value: Angle  # curve parameter of the red critical value (1 - beta)
 
-    def mark_at(self, t: Angle) -> Mark:
-        for m in self.marks:
-            if m.parameter == t:
-                return m
-        raise KeyError(t)
-
-    def critical_marks(self, color: Side) -> tuple[Mark, ...]:
-        return tuple(
-            m for m in self.marks if m.kind is MarkKind.CRITICAL_POINT and m.color is color
-        )
-
 
 def _base_params(alpha: Angle, beta: Angle) -> frozenset[Angle]:
     black = {a for a in alpha.orbit_info().distinct}

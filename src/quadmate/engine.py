@@ -29,13 +29,10 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 
 from .angles import Angle, midpoint, reduce
 from .combinatorics import (
-    Mark,
     MarkKind,
     Schedule,
     Side,
@@ -100,48 +97,19 @@ _FINISH_BELOW = 0.25
 
 
 @dataclass(frozen=True, slots=True)
-class CurveSample:
-    parameter: Angle
-    position: SpherePoint
-    mark: Mark | None = None
-
-
-@dataclass(frozen=True)
 class DiscreteCurve:
     """Closed polyline on the sphere; samples ascend by parameter from 0.
 
-    Sample k sits at parameter ``params[k]`` and position ``points[k]``;
-    ``marks`` pairs each marked sample's index with its mark, in ascending
-    index order.  Every step of the iteration reads and writes these arrays.
-    ``samples`` is a read-only view of them as :class:`CurveSample` objects,
-    built on first use and cached; nothing on the pullback or dump path
-    reads it.
+    Sample k sits at parameter ``params[k]`` and position ``points[k]``.
+    ``marks[j]`` is the index of the sample that carries
+    ``schedule.marks[j]``, so the marked indices ascend with the schedule's
+    marks, and the curve's level is ``schedule.level``.
     """
 
     params: tuple[Angle, ...]
     points: tuple[SpherePoint, ...]
-    marks: tuple[tuple[int, Mark], ...]
-    level: int
+    marks: tuple[int, ...]
     schedule: Schedule
-
-    @classmethod
-    def from_samples(cls, samples, level: int, schedule: Schedule) -> DiscreteCurve:
-        """The curve through ``samples``, given in ascending parameter order."""
-        return cls(
-            tuple(s.parameter for s in samples),
-            tuple(s.position for s in samples),
-            tuple((k, s.mark) for k, s in enumerate(samples) if s.mark is not None),
-            level,
-            schedule,
-        )
-
-    @cached_property
-    def samples(self) -> tuple[CurveSample, ...]:
-        mark_at = dict(self.marks)
-        return tuple(
-            CurveSample(t, p, mark_at.get(k))
-            for k, (t, p) in enumerate(zip(self.params, self.points))
-        )
 
     def index(self, t: Angle) -> int:
         """The position of the sample at parameter ``t``, by bisection."""
@@ -153,14 +121,6 @@ class DiscreteCurve:
 
     def point_at(self, t: Angle) -> SpherePoint:
         return self.points[self.index(t)]
-
-    def sample_at(self, t: Angle) -> CurveSample:
-        k = self.index(t)
-        mark = next((m for i, m in self.marks if i == k), None)
-        return CurveSample(self.params[k], self.points[k], mark)
-
-    def marked(self) -> tuple[CurveSample, ...]:
-        return tuple(CurveSample(self.params[k], self.points[k], m) for k, m in self.marks)
 
 
 @dataclass(frozen=True)
@@ -222,7 +182,7 @@ class IterateOptions:
     budget: int = 2048
 
 
-def _unit_circle(t: Fraction) -> complex:
+def _unit_circle(t: Angle) -> complex:
     x = 2.0 * math.pi * float(t)
     return complex(math.cos(x), math.sin(x))
 
@@ -232,23 +192,26 @@ def init_embedding(s: Schedule, samples_per_arc: int) -> DiscreteCurve:
     if s.level != 0:
         raise ValueError("initial embedding requires a level-0 schedule")
     # the marks ascend from 0, so the arcs between them, the last one
-    # closing at 1, are laid down in ascending order
+    # closing at 1, are laid down in ascending order.  Sample j of the arc
+    # from a/b to c/d sits at (a d (S - j) + c b j) / (b d S)
     params: list[Angle] = []
     points: list[SpherePoint] = []
-    marks: list[tuple[int, Mark]] = []
+    marks: list[int] = []
+    S = samples_per_arc + 1
     for k, m in enumerate(s.marks):
-        t0 = m.parameter.fraction
-        t1 = s.marks[(k + 1) % len(s.marks)].parameter.fraction
-        if t1 <= t0:
-            t1 += 1
-        marks.append((len(params), m))
+        a, b = m.parameter.num, m.parameter.den
+        nxt = s.marks[(k + 1) % len(s.marks)].parameter
+        c, d = nxt.num, nxt.den
+        if k + 1 == len(s.marks):
+            c += d
+        marks.append(len(params))
         params.append(m.parameter)
-        points.append(1.0 + 0.0j if m.parameter == ZERO else _unit_circle(t0))
-        for j in range(1, samples_per_arc + 1):
-            t = t0 + (t1 - t0) * j / (samples_per_arc + 1)
-            params.append(reduce(t.numerator, t.denominator))
+        points.append(1.0 + 0.0j if m.parameter == ZERO else _unit_circle(m.parameter))
+        for j in range(1, S):
+            t = reduce(a * d * (S - j) + c * b * j, b * d * S)
+            params.append(t)
             points.append(_unit_circle(t))
-    return DiscreteCurve(tuple(params), tuple(points), tuple(marks), 0, s)
+    return DiscreteCurve(tuple(params), tuple(points), tuple(marks), s)
 
 
 def read_critical_values(c: DiscreteCurve) -> tuple[SpherePoint, SpherePoint]:
@@ -258,7 +221,7 @@ def read_critical_values(c: DiscreteCurve) -> tuple[SpherePoint, SpherePoint]:
     if chordal(u, v) < _CRITICAL_COLLISION_TOL:
         raise StructuralError(
             "critical value collision",
-            f"u and v coincide at {u!r} on the level-{c.level} curve",
+            f"u and v coincide at {u!r} on the level-{c.schedule.level} curve",
         )
     return u, v
 
@@ -446,7 +409,7 @@ def pullback_curve(
 
     # the child marks are the halves of the parent's marks in order, lap 0
     # then lap 1, so they sit at the parent's marked indices on each lap
-    marked = [k for k, _ in c.marks]
+    marked = list(c.marks)
     arc_marks = s_next.marks
     m = len(marked)
     if 2 * m != len(arc_marks):
@@ -573,15 +536,13 @@ def pullback_curve(
     ]
     out_params: list[Angle] = []
     out_points: list[SpherePoint] = []
-    out_marks: list[tuple[int, Mark]] = []
-    for k, (sign, mark) in enumerate(zip(signs, arc_marks)):
+    out_marks: list[int] = []
+    for k, sign in enumerate(signs):
         ts, ps = lap0[k] if k < m else (lap1[k - m], lap0[k - m][1])
-        out_marks.append((len(out_params), mark))
+        out_marks.append(len(out_params))
         out_params += ts
         out_points += ps if sign == 1 else [None if p is None else -p for p in ps]
-    return DiscreteCurve(
-        tuple(out_params), tuple(out_points), tuple(out_marks), s_next.level, s_next
-    )
+    return DiscreteCurve(tuple(out_params), tuple(out_points), tuple(out_marks), s_next)
 
 
 def relabel(c_next: DiscreteCurve) -> dict[int, SpherePoint]:
@@ -710,7 +671,7 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     """
     points = c.points
     n = len(points)
-    marked = [i for i, _ in c.marks]
+    marked = c.marks
     if budget < len(marked):
         raise ValueError(f"budget {budget} below the marked-sample count {len(marked)}")
     if n <= budget:
@@ -742,7 +703,9 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
         pts.append(stereographic(z))
     # folded, a lap-1 guard mirrors its twin's point, and the mirrors of
     # the guards join them
-    guarded = [pts[i % m] for i, mark in c.marks if mark.point_id is not None]
+    guarded = [
+        pts[i % m] for i, mark in zip(marked, c.schedule.marks) if mark.point_id is not None
+    ]
     if m < n:
         guarded += [(-x, -y, z) for x, y, z in guarded]
     alive = [True] * m
@@ -793,16 +756,12 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
     # every mark survives; its new index counts the survivors before it
     keep = alive * (n // m)
     marks, at, before = [], 0, 0
-    for i, mark in c.marks:
+    for i in marked:
         before += keep[at:i].count(True)
-        marks.append((before, mark))
+        marks.append(before)
         at = i
     return DiscreteCurve(
-        tuple(compress(c.params, keep)),
-        tuple(compress(points, keep)),
-        tuple(marks),
-        c.level,
-        c.schedule,
+        tuple(compress(c.params, keep)), tuple(compress(points, keep)), tuple(marks), c.schedule
     )
 
 
@@ -820,9 +779,9 @@ def _rebase(c: DiscreteCurve, s0: Schedule) -> DiscreteCurve:
     themselves, so each is a half of a parent mark, which the lift marks;
     only the marked samples are read.
     """
-    mark_of = {m.parameter: m for m in s0.marks}
-    marks = tuple((i, mark_of[c.params[i]]) for i, _ in c.marks if c.params[i] in mark_of)
-    return DiscreteCurve(c.params, c.points, marks, c.level, replace(s0, level=c.level))
+    kept = {m.parameter for m in s0.marks}
+    marks = tuple(i for i in c.marks if c.params[i] in kept)
+    return DiscreteCurve(c.params, c.points, marks, replace(s0, level=c.schedule.level))
 
 
 def _collision(embedded: dict[int, SpherePoint]) -> tuple[int, int] | None:
@@ -898,10 +857,10 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
     confirming step usually ends the run ``converged``; a refused one adds
     nothing and the pullback continues from where it was.  ``curve_hook``
     receives the curve of each record as it is added, except the record of a
-    collision; the curve's level is the record's n, and its positions at the
-    schedule's two value parameters are the record's u and v.  Raises
-    ValueError, before the level-0 curve is built, when ``opts.budget`` is
-    below the marked-sample count of a lifted curve.
+    collision; the curve's ``schedule.level`` is the record's n, and its
+    positions at the schedule's two value parameters are the record's u and
+    v.  Raises ValueError, before the level-0 curve is built, when
+    ``opts.budget`` is below the marked-sample count of a lifted curve.
     """
     report = RunReport(alpha=alpha, beta=beta, status="", options=asdict(opts))
     reason = structural_gates(alpha, beta)

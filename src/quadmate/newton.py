@@ -170,12 +170,12 @@ def finish(
     target = _polish(curve, s0)
     if target is None:
         return None
-    level = curve.level + 1
+    level = curve.schedule.level + 1
     points = list(curve.points)
     for t, z in target.items():
         points[curve.index(t)] = z
     polished = DiscreteCurve(
-        curve.params, tuple(points), curve.marks, level, replace(curve.schedule, level=level)
+        curve.params, tuple(points), curve.marks, replace(curve.schedule, level=level)
     )
     u, v = read_critical_values(curve)
     try:

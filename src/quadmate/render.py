@@ -108,7 +108,7 @@ def render_sphere(c: DiscreteCurve, view: Vec3) -> str:
                 f'<polyline points="{points}" fill="none" stroke="#1f4fa0" '
                 f'stroke-width="1.2" stroke-opacity="{opacity}"/>'
             )
-    for i, mark in c.marks:
+    for i, mark in zip(c.marks, c.schedule.marks):
         if mark.point_id is None and mark.color is None:
             continue
         x, y, depth = pts[i]

@@ -10,7 +10,7 @@ offending line number.
 from __future__ import annotations
 
 from .angles import Angle
-from .combinatorics import Mark, MarkKind, Schedule, Side
+from .combinatorics import ZERO, Mark, MarkKind, Schedule, Side
 from .engine import DiscreteCurve, RunReport
 from .errors import SerializationError
 from .ratmap import SpherePoint
@@ -35,7 +35,7 @@ def dump_curve(c: DiscreteCurve, u: SpherePoint = None, v: SpherePoint = None) -
     s = c.schedule
     lines = [
         _MAGIC,
-        f"level {c.level}",
+        f"level {s.level}",
         f"u {_fmt_point(u)}",
         f"v {_fmt_point(v)}",
         f"black-value {s.black_value}",
@@ -143,6 +143,8 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
 
     line, rest = _keyed(r, "marks")
     n_marks = _parse_int(rest[0], "mark count", line)
+    if n_marks < 1:  # the anchor mark at 0 is always there
+        raise SerializationError(f"bad mark count {n_marks}", line)
     marks: list[Mark] = []
     # the parameters the curve must carry a sample at, with their lines
     needed = []
@@ -154,6 +156,14 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
                 "mark line needs parameter, kind, point id and color", line
             )
         t = _parse_angle(parts[0], line)
+        # a schedule's marks ascend from 0, which also keeps the curve's
+        # marked indices in step with them
+        if not marks and t != ZERO:
+            raise SerializationError(f"first mark at parameter {t}, not 0", line)
+        if marks and not marks[-1].parameter < t:
+            raise SerializationError(
+                f"mark at parameter {t} does not ascend past {marks[-1].parameter}", line
+            )
         if parts[1] not in _KINDS:
             raise SerializationError(f"unknown mark kind {parts[1]!r}", line)
         pid = None if parts[2] == "-" else _parse_int(parts[2], "point id", line)
@@ -169,18 +179,18 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
 
     line, rest = _keyed(r, "samples")
     n_samples = _parse_int(rest[0], "sample count", line)
-    mark_of = {m.parameter: m for m in marks}
+    marked_at = {m.parameter for m in marks}
     params: list[Angle] = []
     points: list[SpherePoint] = []
-    marked: list[tuple[int, Mark]] = []
+    marked: list[int] = []
     for _ in range(n_samples):
         line, text = r.next()
         parts = text.split()
         t = _parse_angle(parts[0], line)
         if params and not params[-1] < t:
             raise SerializationError(f"samples out of order at parameter {t}", line)
-        if t in mark_of:
-            marked.append((len(params), mark_of[t]))
+        if t in marked_at:
+            marked.append(len(params))
         params.append(t)
         points.append(_parse_point(parts[1:], line))
     line, text = r.next()
@@ -194,7 +204,7 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
         black_value=black_value,
         red_value=red_value,
     )
-    curve = DiscreteCurve(tuple(params), tuple(points), tuple(marked), level, schedule)
+    curve = DiscreteCurve(tuple(params), tuple(points), tuple(marked), schedule)
     for what, t, line in needed:
         try:
             curve.index(t)

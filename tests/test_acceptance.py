@@ -92,10 +92,10 @@ class TestCriterion3ExampleTwoOrderings:
             0.0 + 0.0j, 0.643594j, 1.18921j, None, -1.0 + 0.0j,
             0.0 + 0.0j, -0.643594j, -1.18921j, None, 1.0 + 0.0j,
         ]
-        marked = list(c1.marked())
+        marked = [c1.points[i] for i in c1.marks]
         ordered = marked[1:] + marked[:1]
-        for smp, want in zip(ordered, expected):
-            assert chordal(smp.position, want) < 1e-5
+        for z, want in zip(ordered, expected):
+            assert chordal(z, want) < 1e-5
 
 
 class TestCriterion4ExampleTwoConvergence:
@@ -180,24 +180,26 @@ class TestCriterion7InvariantSuites:
         c1 = pullback_curve(c0, F, pullback_schedule(s0, A14, A18))
 
         # lift fidelity: every lifted sample maps back onto its parent sample
-        parent = {s.parameter: s.position for s in c0.samples}
-        for smp in c1.samples:
-            target = parent.get(smp.parameter.double())
+        parent = dict(zip(c0.params, c0.points))
+        for t, z in zip(c1.params, c1.points):
+            target = parent.get(t.double())
             if target is not None:
-                assert chordal(F.eval(smp.position), target) <= 1e-10
+                assert chordal(F.eval(z), target) <= 1e-10
 
         # schedule fidelity: curve marks are exactly the schedule marks
-        assert tuple(s.mark for s in c1.marked()) == c1.schedule.marks
+        assert [c1.params[i] for i in c1.marks] == [m.parameter for m in c1.schedule.marks]
 
         # anchor preservation
-        assert chordal(c1.sample_at(Angle(0, 1)).position, 1.0 + 0.0j) <= 1e-10
+        assert chordal(c1.point_at(Angle(0, 1)), 1.0 + 0.0j) <= 1e-10
 
         # prune order preservation: output is a subsequence keeping all marks
         pruned = prune(c1, 250, 1e-6)
         it = iter(zip(c1.params, c1.points))
         for t, p in zip(pruned.params, pruned.points):
             assert any(orig_t is t and orig_p is p for orig_t, orig_p in it)
-        assert tuple(s.mark for s in pruned.samples if s.mark) == c1.schedule.marks
+        assert [pruned.params[i] for i in pruned.marks] == [
+            m.parameter for m in c1.schedule.marks
+        ]
 
         # lamination non-crossing
         for theta in (A14, A18, Angle(1, 6), reduce(5, 12)):

@@ -181,7 +181,7 @@ class TestMate:
         assert "curve-final.txt" in names
         assert "final-oblique.svg" in names
         curve, u, v = load_curve((run_dir / "curve-002.txt").read_text())
-        assert curve.level == 2
+        assert curve.schedule.level == 2
         report = (run_dir / "report.txt").read_text()
         assert f"run-id {run_dir.name}" in report
 
@@ -206,9 +206,9 @@ class TestMate:
         (run_dir,) = list(tmp_path.iterdir())
         for n, name in enumerate(names):
             curve, u, v = load_curve((run_dir / name).read_text())
-            assert curve.level == n
-            assert u == curve.sample_at(curve.schedule.black_value).position
-            assert v == curve.sample_at(curve.schedule.red_value).position
+            assert curve.schedule.level == n
+            assert u == curve.point_at(curve.schedule.black_value)
+            assert v == curve.point_at(curve.schedule.red_value)
 
     def test_reruns_byte_identical(self, tmp_path, capsys):
         args = ["mate", "1/4", "1/8", "--iters", "2", "--tol", "0", "--render"]

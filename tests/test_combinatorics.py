@@ -140,7 +140,7 @@ class TestBaseSchedule:
         s = base_schedule(Angle(1, 6), Angle(1, 6))
         params = [str(m.parameter) for m in s.marks]
         assert "0" in params
-        anchor = s.mark_at(Angle(0, 1))
+        (anchor,) = [m for m in s.marks if m.parameter == Angle(0, 1)]
         assert anchor.kind is MarkKind.ANCHOR
         assert anchor.point_id is None
 
@@ -169,8 +169,9 @@ class TestPullbackSchedule:
             ("7/8", MarkKind.POSTCRITICAL),
             ("15/16", MarkKind.CRITICAL_POINT),
         ]
-        black = {str(m.parameter) for m in s1.critical_marks(Side.BLACK)}
-        red = {str(m.parameter) for m in s1.critical_marks(Side.RED)}
+        crit = [m for m in s1.marks if m.kind is MarkKind.CRITICAL_POINT]
+        black = {str(m.parameter) for m in crit if m.color is Side.BLACK}
+        red = {str(m.parameter) for m in crit if m.color is Side.RED}
         assert black == {"1/8", "5/8"}
         assert red == {"7/16", "15/16"}
 

@@ -21,7 +21,6 @@ from quadmate.combinatorics import (
     pullback_schedule,
 )
 from quadmate.engine import (
-    CurveSample,
     DiscreteCurve,
     IterateOptions,
     init_embedding,
@@ -115,14 +114,14 @@ def reference_pullback_curve(
     through the module.
     """
     # child traversal: two laps over the parent, parameters halved
-    params = [smp.parameter.half(0) for smp in c.samples]
-    params += [smp.parameter.half(1) for smp in c.samples]
-    positions = [smp.position for smp in c.samples] * 2
+    params = [t.half(0) for t in c.params]
+    params += [t.half(1) for t in c.params]
+    positions = list(c.points) * 2
 
     # the child marks are the halves of the parent's marks in order, lap 0
     # then lap 1, so they sit at the parent's marked indices on each lap
-    marked = [k for k, smp in enumerate(c.samples) if smp.mark is not None]
-    boundaries = marked + [k + len(c.samples) for k in marked]
+    marked = list(c.marks)
+    boundaries = marked + [k + len(c.params) for k in marked]
     arc_marks = s_next.marks
     if len(boundaries) != len(arc_marks):
         raise AssertionError("child schedule does not halve the parent's marks")
@@ -195,7 +194,7 @@ def reference_pullback_curve(
             t = arc_marks[k].parameter
             if t in base_params:
                 pos = lifts[k][0][1] if lead * rel[k] == 1 else engine._neg(lifts[k][0][1])
-                score = max(score, chordal(pos, c.sample_at(t).position))
+                score = max(score, chordal(pos, c.point_at(t)))
                 seen = True
         if chain_stops[ci] == len(lifts):
             tail = lifts[-1][-1][1] if lead * rel[-1] == 1 else engine._neg(lifts[-1][-1][1])
@@ -246,15 +245,20 @@ def reference_pullback_curve(
         )
 
     # an arc's last entry is shared with the next arc's head
-    samples: list[CurveSample] = []
-    for lift, sign, mark in zip(lifts, signs, arc_marks):
+    out_params: list[Angle] = []
+    out_points: list[SpherePoint] = []
+    out_marks: list[int] = []
+    for lift, sign in zip(lifts, signs):
         t, p = lift[0]
-        samples.append(CurveSample(t, p if sign == 1 else engine._neg(p), mark))
+        out_marks.append(len(out_params))
+        out_params.append(t)
+        out_points.append(p if sign == 1 else engine._neg(p))
+        out_params += [t for t, _ in lift[1:-1]]
         if sign == 1:
-            samples += [CurveSample(t, p) for t, p in lift[1:-1]]
+            out_points += [p for _, p in lift[1:-1]]
         else:
-            samples += [CurveSample(t, None if p is None else -p) for t, p in lift[1:-1]]
-    return DiscreteCurve.from_samples(samples, s_next.level, s_next)
+            out_points += [None if p is None else -p for _, p in lift[1:-1]]
+    return DiscreteCurve(tuple(out_params), tuple(out_points), tuple(out_marks), s_next)
 
 
 def reference_deviation(prev, cur, nxt) -> float:
@@ -271,26 +275,22 @@ def reference_deviation(prev, cur, nxt) -> float:
 
 def reference_prune(c, budget, tol):
     """``engine.prune`` as it was written with one ``stereographic`` call a sample."""
-    marked_count = sum(1 for s in c.samples if s.mark is not None)
+    marked_count = len(c.marks)
     if budget < marked_count:
         raise ValueError(f"budget {budget} below the marked-sample count {marked_count}")
-    n = len(c.samples)
+    n = len(c.params)
     if n <= budget:
         return c
 
-    pts = [stereographic(s.position) for s in c.samples]
-    guarded = [
-        pts[i]
-        for i, s in enumerate(c.samples)
-        if s.mark is not None and s.mark.point_id is not None
-    ]
+    pts = [stereographic(z) for z in c.points]
+    guarded = [pts[i] for i, mark in zip(c.marks, c.schedule.marks) if mark.point_id is not None]
     alive = [True] * n
     prv = [(i - 1) % n for i in range(n)]
     nxt = [(i + 1) % n for i in range(n)]
     version = [0] * n
-    protected = [c.samples[i].mark is not None for i in range(n)]
+    protected = [i in c.marks for i in range(n)]
     for i in range(n):
-        if c.samples[i].mark is not None:
+        if i in c.marks:
             for off in range(1, engine._MARK_WINDOW + 1):
                 protected[(i - off) % n] = True
                 protected[(i + off) % n] = True
@@ -329,8 +329,7 @@ def reference_prune(c, budget, tol):
                     heap, (reference_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j])
                 )
 
-    kept = tuple(s for i, s in enumerate(c.samples) if alive[i])
-    return DiscreteCurve.from_samples(kept, c.level, c.schedule)
+    return surviving(c, alive)
 
 
 def reference_folded_prune(c, budget, tol):
@@ -341,13 +340,13 @@ def reference_folded_prune(c, budget, tol):
     comes within ``tol`` of a guard, and it is kept when either sample lies
     in a mark's window.  Ties go to the lower lap-0 index.
     """
-    n = len(c.samples)
+    n = len(c.params)
     h = n // 2
     if n <= budget:
         return c
-    pts = [stereographic(s.position) for s in c.samples]
-    marked = [i for i, s in enumerate(c.samples) if s.mark is not None]
-    guarded = [pts[i] for i in marked if c.samples[i].mark.point_id is not None]
+    pts = [stereographic(z) for z in c.points]
+    marked = list(c.marks)
+    guarded = [pts[i] for i, mark in zip(marked, c.schedule.marks) if mark.point_id is not None]
     w = engine._MARK_WINDOW
     window = {(i + off) % n for i in marked for off in range(-w, w + 1)}
     removable = [k not in window and k + h not in window for k in range(h)]
@@ -390,8 +389,18 @@ def reference_folded_prune(c, budget, tol):
             if removable[j]:
                 heapq.heappush(heap, (deviation(j), j, version[j]))
 
-    kept = tuple(s for i, s in enumerate(c.samples) if alive[i])
-    return DiscreteCurve.from_samples(kept, c.level, c.schedule)
+    return surviving(c, alive)
+
+
+def surviving(c, alive):
+    """The samples of ``c`` whose flag is set, as the same objects, with their marks."""
+    kept = [i for i in range(len(c.params)) if alive[i]]
+    return DiscreteCurve(
+        tuple(c.params[i] for i in kept),
+        tuple(c.points[i] for i in kept),
+        tuple(k for k, i in enumerate(kept) if i in c.marks),
+        c.schedule,
+    )
 
 
 def synthetic_curve(positions, marks):
@@ -401,27 +410,20 @@ def synthetic_curve(positions, marks):
     to None for an unguarded (plumbing) mark.
     """
     n = len(positions)
-    samples = []
-    for k, z in enumerate(positions):
-        t = reduce(k, n)
-        if k not in marks:
-            samples.append(CurveSample(t, z))
-            continue
-        pid = marks[k]
-        kind = MarkKind.PLUMBING if pid is None else MarkKind.POSTCRITICAL
-        samples.append(CurveSample(t, z, Mark(t, kind, pid)))
-    schedule = Schedule(
-        marks=tuple(s.mark for s in samples if s.mark is not None),
-        level=0,
-        base_points=tuple(
-            (s.parameter, s.mark.point_id)
-            for s in samples
-            if s.mark is not None and s.mark.point_id is not None
-        ),
-        black_value=samples[0].parameter,
-        red_value=samples[0].parameter,
+    params = tuple(reduce(k, n) for k in range(n))
+    marked = sorted(marks)
+    schedule_marks = tuple(
+        Mark(params[k], MarkKind.PLUMBING if marks[k] is None else MarkKind.POSTCRITICAL, marks[k])
+        for k in marked
     )
-    return DiscreteCurve.from_samples(samples, 0, schedule)
+    schedule = Schedule(
+        marks=schedule_marks,
+        level=0,
+        base_points=tuple((params[k], marks[k]) for k in marked if marks[k] is not None),
+        black_value=params[0],
+        red_value=params[0],
+    )
+    return DiscreteCurve(params, tuple(positions), tuple(marked), schedule)
 
 
 def assert_same_samples(got, want):
@@ -429,7 +431,7 @@ def assert_same_samples(got, want):
     assert len(got.params) == len(want.params)
     assert all(x is y for x, y in zip(got.params, want.params))
     assert all(x is y for x, y in zip(got.points, want.points))
-    assert got.marks == want.marks
+    assert (got.marks, got.schedule) == (want.marks, want.schedule)
 
 
 def assert_prunes_like_the_reference(c, budget, tol):
@@ -474,25 +476,51 @@ class TestInitEmbedding:
     def test_unit_circle(self):
         s0 = base_schedule(A14, A18)
         c = init_embedding(s0, 16)
-        assert c.level == 0
-        assert len(c.samples) == 5 * 17
-        for smp in c.samples:
-            assert abs(abs(smp.position) - 1.0) < 1e-12
+        assert c.schedule.level == 0
+        assert len(c.params) == 5 * 17
+        for z in c.points:
+            assert abs(abs(z) - 1.0) < 1e-12
 
     def test_anchor_exact(self):
         c = init_embedding(base_schedule(A14, A18), 16)
-        assert c.sample_at(Angle(0, 1)).position == 1.0 + 0.0j
+        assert c.point_at(Angle(0, 1)) == 1.0 + 0.0j
 
     def test_parameters_strictly_ascend(self):
         c = init_embedding(base_schedule(A14, A18), 16)
-        params = [s.parameter for s in c.samples]
+        params = list(c.params)
         assert params == sorted(params)
         assert len(set(params)) == len(params)
 
     def test_marks_match_schedule(self):
         s0 = base_schedule(A14, A18)
         c = init_embedding(s0, 16)
-        assert tuple(s.mark for s in c.marked()) == s0.marks
+        assert [c.params[i] for i in c.marks] == [m.parameter for m in s0.marks]
+
+    @pytest.mark.parametrize("samples_per_arc", [1, 8, 32])
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        # the two worked examples, a pair whose anchor is not postcritical,
+        # and one with odd factors in its denominators
+        [("1/4", "1/4"), ("1/4", "1/8"), ("1/6", "1/6"), ("5/28", "11/28")],
+    )
+    def test_matches_the_fraction_reference(self, alpha, beta, samples_per_arc):
+        # each arc from t0 to t1 (1 on the closing arc) spaced in Fractions
+        s0 = base_schedule(Angle.parse(alpha), Angle.parse(beta))
+        params, points = [], []
+        for k, m in enumerate(s0.marks):
+            t0 = m.parameter.fraction
+            t1 = s0.marks[(k + 1) % len(s0.marks)].parameter.fraction
+            if t1 <= t0:
+                t1 += 1
+            arc = [t0 + (t1 - t0) * j / (samples_per_arc + 1) for j in range(samples_per_arc + 1)]
+            params += [_angle_of(t) for t in arc]
+            for t in arc:
+                x = 2.0 * math.pi * float(t)
+                points.append(1.0 + 0.0j if t == 0 else complex(math.cos(x), math.sin(x)))
+        c = init_embedding(s0, samples_per_arc)
+        assert c.params == tuple(params)
+        assert [_bits(z) for z in c.points] == [_bits(z) for z in points]
+        assert c.marks == tuple(k * (samples_per_arc + 1) for k in range(len(s0.marks)))
 
 
 class TestReadCriticalValues:
@@ -505,13 +533,13 @@ class TestReadCriticalValues:
     def test_collision_rejected(self):
         s0 = base_schedule(A14, A18)
         spot = 0.5 + 0.5j
-        samples = tuple(
-            CurveSample(m.parameter, spot if m.point_id in (1, 4) else cmath.exp(
-                2j * cmath.pi * float(m.parameter)
-            ), m)
+        points = tuple(
+            spot if m.point_id in (1, 4) else cmath.exp(2j * cmath.pi * float(m.parameter))
             for m in s0.marks
         )
-        c = DiscreteCurve.from_samples(samples, 0, s0)
+        c = DiscreteCurve(
+            tuple(m.parameter for m in s0.marks), points, tuple(range(len(s0.marks))), s0
+        )
         with pytest.raises(StructuralError, match="critical value collision"):
             read_critical_values(c)
 
@@ -531,39 +559,38 @@ class TestPullbackCurve:
             ("7/8", -1.1892071150027215j),
             ("15/16", None),
         ]
-        marked = c1.marked()
-        assert [str(m.parameter) for m in marked] == [t for t, _ in expected]
-        for m, (_, pos) in zip(marked, expected):
-            assert chordal(m.position, pos) < 1e-9
+        assert [str(c1.params[i]) for i in c1.marks] == [t for t, _ in expected]
+        for i, (_, pos) in zip(c1.marks, expected):
+            assert chordal(c1.points[i], pos) < 1e-9
 
     def test_lift_fidelity(self, ex2_level1):
         c0, F, c1 = ex2_level1
-        parent = {s.parameter: s.position for s in c0.samples}
+        parent = dict(zip(c0.params, c0.points))
         checked = 0
-        for smp in c1.samples:
-            target = parent.get(smp.parameter.double())
+        for t, z in zip(c1.params, c1.points):
+            target = parent.get(t.double())
             if target is None:
                 continue  # refinement inserted this sample mid-step
-            assert chordal(F.eval(smp.position), target) < 1e-10
+            assert chordal(F.eval(z), target) < 1e-10
             checked += 1
-        assert checked >= 2 * len(c0.samples) - 4
+        assert checked >= 2 * len(c0.params) - 4
 
     def test_anchor_preserved(self, ex2_level1):
         _, _, c1 = ex2_level1
-        assert chordal(c1.sample_at(Angle(0, 1)).position, 1.0 + 0.0j) < 1e-10
+        assert chordal(c1.point_at(Angle(0, 1)), 1.0 + 0.0j) < 1e-10
 
     def test_schedule_fidelity(self, ex2_level1):
         _, _, c1 = ex2_level1
-        assert tuple(s.mark for s in c1.marked()) == c1.schedule.marks
-        assert c1.level == 1
+        assert [c1.params[i] for i in c1.marks] == [m.parameter for m in c1.schedule.marks]
+        assert c1.schedule.level == 1
 
     def test_critical_points_hit_exactly(self, ex2_level1):
         _, _, c1 = ex2_level1
-        for m in c1.marked():
-            if m.mark.kind is not MarkKind.CRITICAL_POINT:
+        for i, mark in zip(c1.marks, c1.schedule.marks):
+            if mark.kind is not MarkKind.CRITICAL_POINT:
                 continue
-            target = 0.0 + 0.0j if str(m.parameter) in ("1/8", "5/8") else None
-            assert chordal(m.position, target) < 1e-8
+            target = 0.0 + 0.0j if str(c1.params[i]) in ("1/8", "5/8") else None
+            assert chordal(c1.points[i], target) < 1e-8
 
     def test_example_one_visits_both_poles_twice(self):
         s0 = base_schedule(A14, A14)
@@ -571,10 +598,9 @@ class TestPullbackCurve:
         u, v = read_critical_values(c0)
         F = from_critical_values(u, v)
         c1 = pullback_curve(c0, F, pullback_schedule(s0, A14, A14))
-        at_zero = sum(
-            1 for m in c1.marked() if m.position is not None and abs(m.position) < 1e-9
-        )
-        at_inf = sum(1 for m in c1.marked() if m.position is None)
+        marked = [c1.points[i] for i in c1.marks]
+        at_zero = sum(1 for z in marked if z is not None and abs(z) < 1e-9)
+        at_inf = sum(1 for z in marked if z is None)
         assert at_zero == 2
         assert at_inf == 2
 
@@ -614,7 +640,7 @@ class TestParameterArithmetic:
         s2 = pullback_schedule(c1.schedule, A14, A18)
         c2 = pullback_curve(c1, from_critical_values(u, v), s2)
         for c in (c1, c2):
-            params = [smp.parameter for smp in c.samples]
+            params = c.params
             assert all(type(t) is Angle for t in params)
             assert all(a < b for a, b in zip(params, params[1:]))
 
@@ -693,8 +719,8 @@ class TestLiftOracle:
 
 
 def _sample_bits(c):
-    """Each sample's parameter, position to the bit and mark."""
-    return [(s.parameter, _bits(s.position), s.mark) for s in c.samples]
+    """Each sample's parameter and position to the bit, and the marked indices."""
+    return [(t, _bits(z)) for t, z in zip(c.params, c.points)], c.marks
 
 
 # a pair run to its certified finish at the default density, 32/2048 (the
@@ -736,7 +762,7 @@ class TestPullbackOracle:
                 failures.append(exc)
                 raise
             assert not isinstance(want, BranchTrackingError), want
-            assert (got.level, got.schedule) == (want.level, want.schedule)
+            assert got.schedule == want.schedule
             assert _sample_bits(got) == _sample_bits(want)
             return got
 
@@ -785,15 +811,15 @@ class TestLapAntisymmetry:
         ]
         assert len(lifted) >= 5
         assert len(pulled) >= 5
-        assert any(len(c.samples) < rec.samples_before for rec, c in zip(report.records, hooked))
+        assert any(len(c.params) < rec.samples_before for rec, c in zip(report.records, hooked))
         half = Angle(1, 2)
         for c in lifted + pulled:
-            lap0 = [s for s in c.samples if s.parameter < half]
-            lap1 = [s for s in c.samples if not s.parameter < half]
+            lap0 = [(t, z) for t, z in zip(c.params, c.points) if t < half]
+            lap1 = [(t, z) for t, z in zip(c.params, c.points) if not t < half]
             assert len(lap0) == len(lap1)
-            assert [s.parameter.opposite() for s in lap0] == [s.parameter for s in lap1]
-            assert [_bits(None if s.position is None else -s.position) for s in lap0] == [
-                _bits(s.position) for s in lap1
+            assert [t.opposite() for t, _ in lap0] == [t for t, _ in lap1]
+            assert [_bits(None if z is None else -z) for _, z in lap0] == [
+                _bits(z) for _, z in lap1
             ]
 
 
@@ -849,10 +875,10 @@ class TestPrune:
     def test_budget_respected_and_marks_kept(self, ex2_level1):
         _, _, c1 = ex2_level1
         out = prune(c1, 300, 1e-6)
-        assert len(out.samples) <= max(300, len(c1.samples))
-        assert len(out.samples) < len(c1.samples)
-        kept_marks = tuple(s.mark for s in out.samples if s.mark is not None)
-        assert kept_marks == c1.schedule.marks
+        assert len(out.params) <= max(300, len(c1.params))
+        assert len(out.params) < len(c1.params)
+        kept_marks = [out.params[i] for i in out.marks]
+        assert kept_marks == [m.parameter for m in c1.schedule.marks]
 
     def test_output_is_a_subsequence(self, ex2_level1):
         _, _, c1 = ex2_level1
@@ -867,7 +893,7 @@ class TestPrune:
 
     def test_no_op_below_budget(self, ex2_level1):
         _, _, c1 = ex2_level1
-        assert prune(c1, len(c1.samples), 1e-6) is c1
+        assert prune(c1, len(c1.params), 1e-6) is c1
 
     def test_budget_below_marks_rejected(self, ex2_level1):
         _, _, c1 = ex2_level1
@@ -881,18 +907,14 @@ class TestPrune:
         _, _, c1 = ex2_level1
         tol = 1e-3
         out = prune(c1, 300, tol)
-        guarded = [
-            s.position
-            for s in c1.samples
-            if s.mark is not None and s.mark.point_id is not None
-        ]
+        def guards(curve):
+            return {i for i, m in zip(curve.marks, curve.schedule.marks) if m.point_id is not None}
+
+        guarded = [c1.points[i] for i in sorted(guards(c1))]
 
         def curve_distance(curve, g):
-            return min(
-                chordal(g, s.position)
-                for s in curve.samples
-                if s.mark is None or s.mark.point_id is None
-            )
+            skip = guards(curve)
+            return min(chordal(g, z) for k, z in enumerate(curve.points) if k not in skip)
 
         for g in guarded:
             before = curve_distance(c1, g)
@@ -914,8 +936,8 @@ position = st.one_of(
 
 
 def _budgets(c):
-    n = len(c.samples)
-    marked = len(c.marked())
+    n = len(c.params)
+    marked = len(c.marks)
     return [n - 1, (n + marked) // 2, marked]
 
 
@@ -950,7 +972,7 @@ class TestPruneOracle:
         report = iterate(alpha, beta, opts)
         assert report.status == status
         assert len(calls) == report.records[-1].n
-        assert sum(len(out.samples) < len(c.samples) for c, _, _, out in calls) >= 3
+        assert sum(len(out.params) < len(c.params) for c, _, _, out in calls) >= 3
         for c, budget, tol, out in calls:
             assert_same_samples(out, reference_prune(c, budget, tol))
 
@@ -982,8 +1004,8 @@ class TestPruneOracle:
             assert_prunes_like_the_reference(c, budget, 1e-6)
         # the lowest-index sample of deviation 0 goes first
         first = assert_prunes_like_the_reference(c, len(positions) - 1, 1e-6)
-        (gone,) = set(c.samples) - set(first.samples)
-        assert c.samples.index(gone) == 9
+        (gone,) = set(c.params) - set(first.params)
+        assert c.params.index(gone) == 9
 
     def test_samples_at_zero_and_infinity(self):
         # the real line through 0 and infinity, with infinity written as
@@ -1018,9 +1040,9 @@ class TestPruneOracle:
         for budget in _budgets(c):
             assert_prunes_like_the_reference(c, budget, 1e-6)
         one = assert_prunes_like_the_reference(c, 39, 1e-6)
-        assert c.samples[20] not in one.samples and c.samples[19] in one.samples
+        assert c.params[20] not in one.params and c.params[19] in one.params
         out = assert_prunes_like_the_reference(c, 3, 1e-6)
-        assert len(out.samples) == 38
+        assert len(out.params) == 38
 
     def test_overlapping_windows_across_index_zero(self):
         # marks at 1 and 45 (their windows overlap across index 0) and at 10
@@ -1035,7 +1057,7 @@ class TestPruneOracle:
         for budget in _budgets(c):
             assert_prunes_like_the_reference(c, budget, 1e-6)
         out = assert_prunes_like_the_reference(c, len(marks), 1e-6)
-        assert [c.samples.index(s) for s in out.samples] == sorted(protected)
+        assert [c.params.index(t) for t in out.params] == sorted(protected)
 
 
 # a lap-0 sample of a symmetric curve; its twin on lap 1 is its negative
@@ -1078,14 +1100,14 @@ class TestFoldedPrune:
         # greedy's, symmetric, and keeps every mark
         n = 2 * len(lap0)
         c = symmetric_curve(lap0, {k: pid for k, pid in marks.items() if k < n})
-        marked = len(c.marked())
+        marked = len(c.marks)
         budget = marked + int(share * (n - 1 - marked))
         want = reference_folded_prune(c, budget, tol)
         out = prune(c, budget, tol)
         assert_same_samples(out, want)
-        kept = {c.samples.index(s) for s in out.samples}
+        kept = {c.params.index(t) for t in out.params}
         assert all((k + n // 2) % n in kept for k in kept)
-        assert {k for k, s in enumerate(c.samples) if s.mark is not None} <= kept
+        assert set(c.marks) <= kept
 
     # 80 samples a lap; the marks and their windows keep 27 of them
     LAP0 = [cmath.exp(1j * math.pi * k / 80) * (1 + 0.1 * (k % 3)) for k in range(80)]
@@ -1094,8 +1116,8 @@ class TestFoldedPrune:
     def test_odd_budget_prunes_to_one_less(self):
         c = symmetric_curve(self.LAP0, self.MARKS)
         out = prune(c, 61, 1e-6)
-        assert len(out.samples) == 60
-        assert out.samples == reference_folded_prune(c, 61, 1e-6).samples
+        assert len(out.params) == 60
+        assert out == reference_folded_prune(c, 61, 1e-6)
 
     def test_a_twin_sweep_across_a_guard_is_refused(self):
         # the guard G sits on lap 0 at sample 0; samples 18-21 lie around -G,
@@ -1107,23 +1129,23 @@ class TestFoldedPrune:
         lap0[0] = g
         lap0[18:22] = [-g + h * (-1 - 1j), -g + h * 1j, -g + h * (1 - 1j), -g + h * (2 + 3j)]
         c = symmetric_curve(lap0, {0: 1, 10: None, 29: None})
-        pts = [stereographic(s.position) for s in c.samples]
+        pts = [stereographic(z) for z in c.points]
         assert engine._sweep_clearance(pts[0], pts[58], pts[59], pts[60]) <= 1e-6
         assert reference_deviation(pts[18], pts[19], pts[20]) < reference_deviation(
             pts[19], pts[20], pts[21]
         )
         out = prune(c, 78, 1e-6)
-        assert out.samples == reference_folded_prune(c, 78, 1e-6).samples
-        assert set(c.samples) - set(out.samples) == {c.samples[20], c.samples[60]}
+        assert out == reference_folded_prune(c, 78, 1e-6)
+        assert set(c.params) - set(out.params) == {c.params[20], c.params[60]}
 
     def test_twin_off_by_one_ulp_is_pruned_unfolded(self):
         c = symmetric_curve(self.LAP0, self.MARKS)
-        positions = [s.position for s in c.samples]
+        positions = list(c.points)
         z = positions[85]
         positions[85] = complex(math.nextafter(z.real, math.inf), z.imag)
         skewed = synthetic_curve(positions, {0: None, 80: None, **self.MARKS})
         out = assert_prunes_like_the_reference(skewed, 61, 1e-6)
-        assert len(out.samples) == 61
+        assert len(out.params) == 61
 
 
 class TestCurveArrays:
@@ -1134,38 +1156,23 @@ class TestCurveArrays:
             st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
             max_size=4,
         ),
+        angle,
     )
-    def test_the_sample_view_agrees_with_the_arrays(self, positions, marks):
+    def test_index_finds_every_parameter_and_only_those(self, positions, marks, t):
         c = synthetic_curve(positions, {k: pid for k, pid in marks.items() if k < len(positions)})
-        assert DiscreteCurve.from_samples(c.samples, c.level, c.schedule) == c
-        for t in c.params:
-            assert c.sample_at(t) == c.samples[c.index(t)]
-        assert c.marked() == tuple(s for s in c.samples if s.mark is not None)
-
-    def test_a_run_builds_no_sample_objects(self, tmp_path, monkeypatch):
-        # the pullback, prune, rebase, Newton finish, dumps and figures all
-        # read and write the arrays; only the view builds CurveSamples
-        from quadmate.cli import main
-
-        built = []
-        init = CurveSample.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CurveSample, "__init__", counting)
-        report = iterate(A14, A18)
-        assert [r.phase for r in report.records[-2:]] == ["newton", "confirm"]
-        code = main(["mate", "1/4", "1/8", "--iters", "40", "--tol", "1e-9", "--samples", "8",
-                     "--budget", "128", "--dump", str(tmp_path), "--render"])
-        assert code == 0
-        assert len(list(tmp_path.rglob("curve-*.txt"))) > 20
-        assert built == []
-        # the view is built on first use, once
-        view = report.final_curve.samples
-        assert len(built) == len(view) == len(report.final_curve.params)
-        assert report.final_curve.samples is view
+        assert [c.params[i] for i in c.marks] == [m.parameter for m in c.schedule.marks]
+        n = len(c.params)
+        for k, s in enumerate(c.params):
+            assert c.index(s) == k
+            assert c.point_at(s) is c.points[k]
+            # (2k + 1)/2n lies between samples k and k + 1
+            with pytest.raises(KeyError):
+                c.index(reduce(2 * k + 1, 2 * n))
+        if t in c.params:
+            assert c.params[c.index(t)] == t
+        else:
+            with pytest.raises(KeyError):
+                c.index(t)
 
 
 class TestIterate:
@@ -1235,10 +1242,10 @@ class TestIterate:
         iterate(alpha, beta, opts, curve_hook=curves.append)
         assert len(curves) == 4
         for c in curves:
-            assert c.schedule == replace(s0, level=c.level)
-            assert tuple(s.mark for s in c.samples if s.mark is not None) == s0.marks
+            assert c.schedule == replace(s0, level=c.schedule.level)
+            assert [c.params[i] for i in c.marks] == [m.parameter for m in s0.marks]
             # the stitched arcs concatenate in order; nothing sorts them
-            params = [s.parameter for s in c.samples]
+            params = c.params
             assert all(a < b for a, b in zip(params, params[1:]))
 
     def test_hooked_curves_match_their_records(self):
@@ -1251,9 +1258,9 @@ class TestIterate:
         assert [r.phase for r in report.records[-2:]] == ["newton", "confirm"]
         assert len(curves) == len(report.records)
         for c, rec in zip(curves, report.records):
-            assert c.level == rec.n
-            assert _bits(c.sample_at(c.schedule.black_value).position) == _bits(rec.u)
-            assert _bits(c.sample_at(c.schedule.red_value).position) == _bits(rec.v)
+            assert c.schedule.level == rec.n
+            assert _bits(c.point_at(c.schedule.black_value)) == _bits(rec.u)
+            assert _bits(c.point_at(c.schedule.red_value)) == _bits(rec.v)
 
     def test_relabel_covers_every_point_id(self):
         report = iterate(A14, A18, IterateOptions(max_iters=1, tol=0.0, samples_per_arc=32))

@@ -84,7 +84,7 @@ def test_critical_points_stay_pinned(alpha, beta):
     s0 = base_schedule(Angle.parse(alpha), Angle.parse(beta))
     at_infinity = [t for t, _ in s0.base_points if t in s0.red_value.halves()]
     assert at_infinity
-    assert all(report.final_curve.sample_at(t).position is None for t in at_infinity)
+    assert all(report.final_curve.point_at(t) is None for t in at_infinity)
 
 
 class TestRefused:

@@ -2,14 +2,13 @@
 
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from quadmate.angles import Angle
 from quadmate.combinatorics import base_schedule, pullback_schedule
 from quadmate.engine import (
-    CurveSample,
-    DiscreteCurve,
     init_embedding,
     pullback_curve,
     read_critical_values,
@@ -94,12 +93,12 @@ class TestRenderViews:
     def test_loaded_dump_past_the_overflow_bound(self, level0):
         # a dump may hold finite positions whose |z|^2 overflows; they draw
         # where infinity does
-        samples = list(level0.samples)
-        k = next(i for i, smp in enumerate(samples) if smp.mark is None)
-        samples[k] = CurveSample(samples[k].parameter, 1e200 + 0j)
-        far = DiscreteCurve.from_samples(samples, level0.level, level0.schedule)
-        samples[k] = CurveSample(samples[k].parameter, None)
-        at_inf = DiscreteCurve.from_samples(samples, level0.level, level0.schedule)
+        points = list(level0.points)
+        k = next(i for i in range(len(points)) if i not in level0.marks)
+        points[k] = 1e200 + 0j
+        far = replace(level0, points=tuple(points))
+        points[k] = None
+        at_inf = replace(level0, points=tuple(points))
         loaded, _, _ = load_curve(dump_curve(far))
-        assert loaded.samples[k].position == 1e200 + 0j
+        assert loaded.points[k] == 1e200 + 0j
         assert render_views(loaded) == render_views(at_inf)

@@ -27,11 +27,9 @@ class TestRoundTrip:
         text = dump_curve(c, 1j, -1j)
         back, u, v = load_curve(text)
         assert u == 1j and v == -1j
-        assert back.level == 0
+        assert back.schedule.level == 0
         assert back.schedule == c.schedule
-        assert [(s.parameter, s.position) for s in back.samples] == [
-            (s.parameter, s.position) for s in c.samples
-        ]
+        assert (back.params, back.points) == (c.params, c.points)
 
     def test_bytes_stable_through_reload(self, curve_with_infinity):
         c, u, v = curve_with_infinity
@@ -42,14 +40,14 @@ class TestRoundTrip:
     def test_infinity_survives(self, curve_with_infinity):
         c, u, v = curve_with_infinity
         back, _, _ = load_curve(dump_curve(c, u, v))
-        originals = [s.position for s in c.samples]
-        assert None in originals
-        assert [s.position for s in back.samples] == originals
+        assert None in c.points
+        assert back.points == c.points
 
     def test_marks_reattach(self, curve_with_infinity):
         c, u, v = curve_with_infinity
         back, _, _ = load_curve(dump_curve(c, u, v))
-        assert tuple(s.mark for s in back.samples if s.mark is not None) == c.schedule.marks
+        assert back.marks == c.marks
+        assert back.schedule.marks == c.schedule.marks
 
 
 class TestParseErrors:
@@ -124,6 +122,39 @@ class TestParseErrors:
             load_curve("\n".join(lines))
         assert err.value.line == mark + 1
         assert str(err.value) == f"line {mark + 1}: mark at parameter 1/4 has no sample"
+
+    def test_repeated_mark_rejected(self):
+        # a repeated mark line would leave the curve with fewer marked
+        # samples than its schedule has marks
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines[lines.index("marks 5")] = "marks 6"
+        at = lines.index("1/2 postcritical 2 -")
+        lines.insert(at, lines[at])
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == (
+            f"line {at + 2}: mark at parameter 1/2 does not ascend past 1/2"
+        )
+
+    def test_marks_start_at_the_anchor(self):
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines[lines.index("marks 5")] = "marks 4"
+        lines.remove("0 postcritical 5 -")
+        at = lines.index("1/4 postcritical 1 -")
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: first mark at parameter 1/4, not 0"
+
+    def test_no_marks_rejected(self):
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c, 1j, -1j).splitlines()
+        at = lines.index("marks 5")
+        lines[at : at + 6] = ["marks 0"]
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: bad mark count 0"
 
     def test_value_without_sample_rejected(self):
         c = init_embedding(base_schedule(A14, A18), 2)
