@@ -2,14 +2,12 @@
 
 from .angles import Angle, OrbitInfo, reduce
 from .combinatorics import (
-    EssentialClass,
     Mark,
     MarkKind,
     Schedule,
     Side,
     SideAngle,
     base_schedule,
-    essential_classes,
     fsr_valid,
     is_jordan,
     jordan_defect,
@@ -37,12 +35,10 @@ from .errors import (
     StructuralError,
 )
 from .lamination import (
-    LandingPartition,
     Leaf,
     LimbId,
     colanding_class,
     critical_leaf,
-    landing_partition,
     limb_of,
     mateable,
     pullback_lamination,

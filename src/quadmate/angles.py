@@ -172,8 +172,10 @@ def cyclic_between(a: Angle, b: Angle, c: Angle) -> bool:
     """True iff walking counterclockwise from ``a`` meets ``b`` before ``c``."""
     if a == b or b == c or a == c:
         raise AngleError("cyclic_between requires pairwise distinct angles")
-    fa, fb, fc = a.fraction, b.fraction, c.fraction
-    return (fb - fa) % 1 < (fc - fa) % 1
+    # (b - a) mod 1 against (c - a) mod 1, over the common denominator d
+    d = a.den * b.den * c.den
+    na = a.num * b.den * c.den
+    return (b.num * a.den * c.den - na) % d < (c.num * a.den * b.den - na) % d
 
 
 def in_open_arc(t: Angle, lo: Angle, hi: Angle) -> bool:

@@ -187,45 +187,6 @@ def _ray_system(alpha: Angle, beta: Angle) -> _RaySystem:
     return _RaySystem(alpha, beta)
 
 
-@dataclass(frozen=True)
-class EssentialClass:
-    """A block of the identification restricted to postcritical angles.
-
-    ``image`` indexes the class holding the doubles of the members, within the
-    tuple returned by :func:`essential_classes`.
-    """
-
-    members: frozenset[SideAngle]
-    image: int
-
-
-def essential_classes(alpha: Angle, beta: Angle) -> tuple[EssentialClass, ...]:
-    """Partition of the postcritical angles of both sides under the collapse.
-
-    Angles fall in one block when their ray class is collapsed by the
-    essential mating, or when they already name the same Julia-set point.
-    Blocks are ordered by their smallest member.
-    """
-    sys = _ray_system(alpha, beta)
-    post = [sa for sa in sorted(sys.tracked, key=SideAngle.sort_key) if sys.is_postcritical(sa)]
-    blocks: list[frozenset[SideAngle]] = []
-    block_of: dict[SideAngle, int] = {}
-    for sa in post:
-        if sa in block_of:
-            continue
-        i = sys.index[sa]
-        if sys.essential[i]:
-            block = frozenset(x for x in sys.classes[i] if sys.is_postcritical(x))
-        else:
-            block = frozenset(x for x in post if sys.same_point(sa, x))
-        block_of.update(dict.fromkeys(block, len(blocks)))
-        blocks.append(block)
-    # the doubles of postcritical angles are postcritical, so every image is placed
-    return tuple(
-        EssentialClass(members=b, image=block_of[next(iter(b)).double()]) for b in blocks
-    )
-
-
 def jordan_defect(alpha: Angle, beta: Angle) -> frozenset[SideAngle] | None:
     """The ray class pinching the candidate curve, or None when none exists.
 

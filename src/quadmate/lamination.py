@@ -180,32 +180,6 @@ def _periodic_class(theta: Angle, cycle: list[Angle]) -> frozenset[Angle]:
     return frozenset(found)
 
 
-@dataclass(frozen=True)
-class LandingPartition:
-    """Co-landing classes of a finite angle set (fibers of the landing map)."""
-
-    classes: tuple[frozenset[Angle], ...]
-
-    def class_of(self, t: Angle) -> frozenset[Angle]:
-        for c in self.classes:
-            if t in c:
-                return c
-        raise KeyError(t)
-
-
-def landing_partition(theta: Angle, angles: frozenset[Angle] | set[Angle]) -> LandingPartition:
-    """Partition ``angles`` into co-landing classes for the ``theta`` polynomial."""
-    _require_preperiodic(theta)
-    remaining = sorted(angles)
-    classes: list[frozenset[Angle]] = []
-    while remaining:
-        head = remaining[0]
-        cls = frozenset(a for a in remaining if same_landing(theta, head, a))
-        classes.append(cls)
-        remaining = [a for a in remaining if a not in cls]
-    return LandingPartition(classes=tuple(classes))
-
-
 def pullback_lamination(theta: Angle, depth: int) -> set[Leaf]:
     """The finite-depth invariant lamination generated by the critical leaf.
 
@@ -262,34 +236,18 @@ class LimbId:
 def wake(limb: LimbId) -> tuple[Angle, Angle]:
     """The pair of period-q angles bounding the p/q-limb wake.
 
-    Brute force over angles with denominator ``2^q - 1``: find the unique
-    period-q cycle whose circular order is rigid rotation by p/q, then take
-    the narrowest gap between circularly adjacent cycle members (the gap
-    through angle 0 is never a wake).
+    Both angles share the itinerary of the p/q rotation (Goldberg, "Fixed
+    points of polynomial maps I", 1992; Bullett and Sentenac, "Ordered orbits
+    of the shift", 1994): digit k = 1 ... q-2 is 1 exactly when the rotation
+    point kp/q lies in the last p/q of the circle, and the lower angle ends in
+    the digits 01, the upper one in 10.
     """
     p, q = limb.rotation.num, limb.rotation.den
+    prefix = 0
+    for k in range(1, q - 1):
+        prefix = 2 * prefix + (k * p % q >= q - p)
     modulus = (1 << q) - 1
-    seen: set[int] = set()
-    for k in range(1, modulus):
-        if k in seen:
-            continue
-        cycle = [k]
-        cur = (2 * k) % modulus
-        while cur != k:
-            cycle.append(cur)
-            cur = (2 * cur) % modulus
-        seen.update(cycle)
-        if len(cycle) != q:
-            continue
-        ordered = sorted(cycle)
-        position = {v: i for i, v in enumerate(ordered)}
-        shifts = {(position[(2 * v) % modulus] - position[v]) % q for v in cycle}
-        if shifts != {p}:
-            continue
-        gaps = [(ordered[i + 1] - ordered[i], i) for i in range(q - 1)]
-        _, i = min(gaps)
-        return (reduce(ordered[i], modulus), reduce(ordered[i + 1], modulus))
-    raise AssertionError(f"no rotation cycle found for {limb.rotation}")
+    return reduce(4 * prefix + 1, modulus), reduce(4 * prefix + 2, modulus)
 
 
 def limb_of(theta: Angle) -> LimbId | None:
@@ -297,6 +255,8 @@ def limb_of(theta: Angle) -> LimbId | None:
 
     Periods q are tried up to ``max(16, 1 + bit length of theta's
     denominator)``; None when no wake up to that period contains ``theta``.
+    Each wake costs O(q) integer steps, so the search is polynomial in the
+    bit length.
     """
     _require_preperiodic(theta)
     for q in range(2, max(16, theta.den.bit_length() + 1) + 1):

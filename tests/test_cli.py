@@ -23,11 +23,11 @@ from quadmate.serialize import load_curve
 SRC = str(Path(quadmate.__file__).resolve().parents[1])
 
 
-def _run(*args: str) -> subprocess.CompletedProcess:
+def _run(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run ``python args`` in a fresh interpreter that imports this quadmate."""
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -63,6 +63,14 @@ class TestCheck:
 
     def test_garbage_angle(self, capsys):
         assert main(["check", "x/y", "1/4"]) == EXIT_USAGE
+
+    def test_deep_limb_gates_promptly(self):
+        # 1/16777214 lies in the 1/24 wake, so limb_of needs the wakes of
+        # every limb up to period 24; a subprocess bounds the run without
+        # hanging the suite
+        proc = _run("-m", "quadmate.cli", "check", "1/4", "1/16777214", timeout=60)
+        assert proc.returncode == EXIT_STRUCTURAL
+        assert "fsr_valid: no" in proc.stdout
 
 
 class TestSchedule:

@@ -12,7 +12,6 @@ from quadmate.combinatorics import (
     SideAngle,
     _RaySystem,
     base_schedule,
-    essential_classes,
     fsr_valid,
     is_jordan,
     jordan_defect,
@@ -196,28 +195,6 @@ class TestPullbackSchedule:
         for m in s1.marks:
             if m.parameter in base:
                 assert m.point_id == base[m.parameter]
-
-
-class TestEssentialClasses:
-    def test_partition_covers_postcritical_angles(self):
-        classes = essential_classes(A14, A18)
-        members = [x for c in classes for x in c.members]
-        assert len(members) == len(set(members))
-        black = {a for a in A14.orbit_info().distinct}
-        red = {a for a in A18.orbit_info().distinct}
-        covered = set(members)
-        for a in black:
-            assert SideAngle(Side.BLACK, a) in covered
-        for a in red:
-            assert SideAngle(Side.RED, a) in covered
-
-    def test_images_index_into_the_partition(self):
-        classes = essential_classes(A14, A18)
-        for c in classes:
-            assert 0 <= c.image < len(classes)
-            target = classes[c.image].members
-            for x in c.members:
-                assert x.double() in target
 
 
 class TestGates:

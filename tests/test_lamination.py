@@ -1,5 +1,7 @@
 """Co-landing combinatorics, laminations, and limb membership."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,6 @@ from quadmate.lamination import (
     LimbId,
     colanding_class,
     critical_leaf,
-    landing_partition,
     limb_of,
     mateable,
     pullback_lamination,
@@ -55,6 +56,46 @@ def scan_classes(theta: Angle, preperiod: int, period: int) -> dict[Angle, froze
             b = b.double()
         classes.setdefault(tuple(word), set()).add(a)
     return {a: frozenset(cls) for cls in classes.values() for a in cls}
+
+
+def reference_wake(limb: LimbId) -> tuple[Angle, Angle]:
+    """The pair of period-q angles bounding the p/q-limb wake.
+
+    Brute force over angles with denominator ``2^q - 1``: find the unique
+    period-q cycle whose circular order is rigid rotation by p/q, then take
+    the narrowest gap between circularly adjacent cycle members (the gap
+    through angle 0 is never a wake).
+    """
+    p, q = limb.rotation.num, limb.rotation.den
+    modulus = (1 << q) - 1
+    seen: set[int] = set()
+    for k in range(1, modulus):
+        if k in seen:
+            continue
+        cycle = [k]
+        cur = (2 * k) % modulus
+        while cur != k:
+            cycle.append(cur)
+            cur = (2 * cur) % modulus
+        seen.update(cycle)
+        if len(cycle) != q:
+            continue
+        ordered = sorted(cycle)
+        position = {v: i for i, v in enumerate(ordered)}
+        shifts = {(position[(2 * v) % modulus] - position[v]) % q for v in cycle}
+        if shifts != {p}:
+            continue
+        gaps = [(ordered[i + 1] - ordered[i], i) for i in range(q - 1)]
+        _, i = min(gaps)
+        return (reduce(ordered[i], modulus), reduce(ordered[i + 1], modulus))
+    raise AssertionError(f"no rotation cycle found for {limb.rotation}")
+
+
+def limbs(max_q: int) -> list[LimbId]:
+    """Every limb p/q with q <= ``max_q``, in order of q then p."""
+    return [
+        LimbId(reduce(p, q)) for q in range(2, max_q + 1) for p in range(1, q) if gcd(p, q) == 1
+    ]
 
 
 class TestLeaf:
@@ -193,6 +234,21 @@ class TestWakes:
     def test_conjugate_limb(self):
         assert LimbId(Angle(1, 3)).conjugate() == LimbId(Angle(2, 3))
 
+    def test_matches_enumeration(self):
+        checked = limbs(16)
+        assert len(checked) == 79
+        for limb in checked:
+            assert wake(limb) == reference_wake(limb), limb
+
+    def test_rotation_family_and_mirror(self):
+        for q in range(2, 65):
+            modulus = (1 << q) - 1
+            assert wake(LimbId(reduce(1, q))) == (reduce(1, modulus), reduce(2, modulus))
+        for limb in limbs(64):
+            lo, hi = wake(limb)
+            assert lo < hi, limb
+            assert wake(limb.conjugate()) == (hi.mirror(), lo.mirror()), limb
+
 
 class TestMateable:
     def test_conjugate_limbs_rejected(self):
@@ -203,17 +259,3 @@ class TestMateable:
 
     def test_distinct_limbs_allowed(self):
         assert mateable(Angle(1, 4), Angle(1, 8))
-
-
-class TestLandingPartition:
-    @settings(max_examples=30)
-    @given(preperiodic, st.sets(rational, min_size=1, max_size=8))
-    def test_partitions_the_input(self, theta, angles):
-        part = landing_partition(theta, angles)
-        seen = set()
-        for cls in part.classes:
-            assert not (cls & seen)
-            seen |= cls
-        assert seen == set(angles)
-        for t in angles:
-            assert t in part.class_of(t)
