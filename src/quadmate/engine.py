@@ -78,22 +78,26 @@ _ISOTOPY_DECISIVE = 1.0
 _ISOTOPY_RATIO = 0.5
 
 # The Newton finish (see iterate and the newton module) is tried once the
-# increment has fallen in _FINISH_FALLS successive pullbacks and is below
-# _FINISH_BELOW.  Both were chosen on (1/4, 1/8) and on 50 gate-accepted
-# pairs of the census angle set (denominators up to 32; every 23rd pair from
-# offsets 0 and 11), run for 40 iterations at 32 samples per arc.  Runs of up
-# to six falls were still followed by a rise ((1/4, 1/8) at iterations 11
-# and 16, (1/24, 17/24), (5/28, 11/28), (1/4, 5/16)); after seven falls below
-# 0.25, 20 finishes were tried and certified, and one was refused, on
-# (9/10, 9/10), whose next pullback jumped by 1.76 and whose postcritical
-# points collided one step later.  Seven falls also make the tail of the
-# records fall into the finish whenever the polished step is below the last
-# pullback step (so on (1/4, 1/8): 0.062 after 0.076).  Newton's method
-# reached the same certified map from much further out (from the first
-# iteration on (1/4, 1/8)), so the threshold only keeps the finish off curves
-# that have not settled.
+# increment has fallen in _FINISH_FALLS successive pullbacks, or has not
+# improved its running minimum for _FINISH_STALE successive records.  Both
+# were chosen on (1/4, 1/8) and on the 50 gate-accepted pairs of
+# tests/test_census.py, run for 40 iterations at 32 samples per arc.  Runs of
+# up to six falls were still followed by a rise ((1/4, 1/8) at iterations 11
+# and 16, (1/24, 17/24), (5/28, 11/28), (1/4, 5/16)).  Seven falls also make
+# the tail of the records fall into the finish whenever the polished step is
+# below the last pullback step (so on (1/4, 1/8): 0.062 after 0.076).
+# The pullback need not shrink the step at every iteration (Buff, Epstein,
+# Koch and Pilgrim, "On Thurston's pullback map", 2009), and a run that
+# circles its fixed point never falls seven times: (1/32, 1/32) jumps after
+# pullback 4 and runs to the cap, and (1/4, 11/16) collides at iteration 9,
+# yet Newton's method certifies a map from their curves of levels 7 and 5.
+# The stall rule finishes them there, and takes the census from 20 to 40
+# converging pairs.  3 is the smallest stall that never fires on (1/4, 1/8),
+# whose stall peaks at 2 (pullbacks 12 and 16): 2 would finish it at record
+# 14, before its steps fall monotonically, while 4 converges only 32 pairs.
+# A refused try is retried at the next stalled record.
 _FINISH_FALLS = 7
-_FINISH_BELOW = 0.25
+_FINISH_STALE = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -846,20 +850,21 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
     step has not improved its running minimum for 20 consecutive iterations
     (both ``diverged``; expected for parabolic-orbifold inputs).
 
-    The pullback contracts only linearly, so once its increment has fallen
-    in ``_FINISH_FALLS`` successive steps and is below ``_FINISH_BELOW`` (and
-    ``opts.tol`` is positive, and two more records fit under the cap), the
-    run tries a Newton finish: Newton's method on the critical-orbit
+    The pullback contracts only linearly, and not monotonically, so once its
+    increment has fallen in ``_FINISH_FALLS`` successive steps, or has not
+    improved its running minimum for ``_FINISH_STALE`` successive records
+    (and ``opts.tol`` is positive, and two more records fit under the cap),
+    the run tries a Newton finish: Newton's method on the critical-orbit
     relations, accepted only with a small residual, no postcritical point
     moved far, and one confirming pullback that leaves every postcritical
     point within ``opts.tol`` (see :func:`quadmate.newton.finish`).  An
     accepted finish adds a ``"newton"`` and a ``"confirm"`` record, and the
     confirming step usually ends the run ``converged``; a refused one adds
-    nothing and the pullback continues from where it was.  ``curve_hook``
-    receives the curve of each record as it is added, except the record of a
-    collision; the curve's ``schedule.level`` is the record's n, and its
-    positions at the schedule's two value parameters are the record's u and
-    v.  Raises ValueError, before the level-0 curve is built, when
+    nothing, the pullback continues from where it was, and a stalled run
+    tries again at its next stalled record.  ``curve_hook`` receives the
+    curve of each record as it is added, except the record of a collision;
+    the curve's ``schedule.level`` is the record's n, and its positions at
+    the schedule's two value parameters are the record's u and v.  Raises ValueError, before the level-0 curve is built, when
     ``opts.budget`` is below the marked-sample count of a lifted curve.
     """
     report = RunReport(alpha=alpha, beta=beta, status="", options=asdict(opts))
@@ -897,8 +902,7 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
         while n < opts.max_iters:
             steps = None
             if (
-                falls >= _FINISH_FALLS
-                and last < _FINISH_BELOW
+                (falls >= _FINISH_FALLS or stale >= _FINISH_STALE)
                 and opts.tol > 0
                 and n + 2 <= opts.max_iters
             ):

@@ -6,12 +6,13 @@ of 40 records at the default sampling.  The sampling reaches (u, v) only
 through branch choices, so this census is what the defaults of
 ``IterateOptions`` are chosen on.  A pair that converges must go on
 converging to the committed map; a change of defaults or of the engine that
-loses one fails here.  The other pairs end ``diverged`` or ``max-iterations``
-today, and must never end in a gate refusal or an exception.  Their exact
-status is not pinned, so a fix that makes one of them converge does not fail
-the census.
+loses one fails here.  Of the other 30 pairs, 20 converge today (each
+through a Newton finish tried when the step stalls) and 10 end ``diverged``;
+none may ever end in a gate refusal or an exception.  Their status and map
+are not pinned until an independent check backs the maps, so a change that
+makes one of them converge, or stop converging, does not fail the census.
 
-Deselect it with ``-m "not slow"`` for a quick run; it takes about a minute.
+Deselect it with ``-m "not slow"`` for a quick run; it takes about 20 s.
 """
 
 import pytest

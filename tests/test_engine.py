@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quadmate import engine
+from quadmate import engine, newton
 from quadmate.angles import Angle, midpoint, reduce
 from quadmate.combinatorics import (
     Mark,
@@ -734,8 +734,10 @@ PULLBACK_RUNS = [
      "max-iterations"),
     (reduce(1, 10), reduce(19, 20),
      IterateOptions(max_iters=20, samples_per_arc=32, budget=2048), "diverged"),
+    # tol=0 tries no Newton finish, which would converge this run at record
+    # 13, so the run still meets the closure failure at iteration 16
     (reduce(1, 20), reduce(17, 20),
-     IterateOptions(max_iters=20, samples_per_arc=32, budget=2048), "diverged"),
+     IterateOptions(max_iters=20, tol=0.0, samples_per_arc=32, budget=2048), "diverged"),
 ]
 
 
@@ -1261,6 +1263,38 @@ class TestIterate:
             assert c.schedule.level == rec.n
             assert _bits(c.point_at(c.schedule.black_value)) == _bits(rec.u)
             assert _bits(c.point_at(c.schedule.red_value)) == _bits(rec.v)
+
+    def test_finish_waits_for_the_falls_on_example_two(self, monkeypatch):
+        # the step of (1/4, 1/8) rises at pullbacks 11-12 and 15-16 but never
+        # stays above its running minimum for three records, so the finish is
+        # tried once, after seven falls, and the tail of the records falls
+        levels = []
+        finish = newton.finish
+
+        def recorded(curve, *args):
+            levels.append(curve.schedule.level)
+            return finish(curve, *args)
+
+        monkeypatch.setattr(newton, "finish", recorded)
+        report = iterate(A14, A18)
+        assert report.status == "converged"
+        assert levels == [23]
+
+    def test_a_stalled_step_tries_the_finish(self):
+        # (1/32, 1/32) circles its fixed point: after pullback 4 the step
+        # jumps and stays above its minimum, and the finish tried after three
+        # such records (from level 7) certifies the map long before the cap
+        opts = IterateOptions(max_iters=20, samples_per_arc=32, budget=2048)
+        report = iterate(reduce(1, 32), reduce(1, 32), opts)
+        assert report.status == "converged"
+        assert report.records[-1].n == 9
+        assert [r.phase for r in report.records[-2:]] == ["newton", "confirm"]
+        # the mirror pair reaches the conjugate map
+        mirror = iterate(reduce(31, 32), reduce(31, 32), opts)
+        assert mirror.status == "converged"
+        u, v = report.records[-1].u, report.records[-1].v
+        assert chordal(mirror.records[-1].u, u.conjugate()) < 1e-12
+        assert chordal(mirror.records[-1].v, v.conjugate()) < 1e-12
 
     def test_relabel_covers_every_point_id(self):
         report = iterate(A14, A18, IterateOptions(max_iters=1, tol=0.0, samples_per_arc=32))
