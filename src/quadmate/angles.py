@@ -68,7 +68,12 @@ class Angle:
 
     def double(self) -> "Angle":
         """The image ``2a mod 1`` under the angle-doubling map."""
-        return reduce(2 * self.num, self.den)
+        # num/den is reduced: an odd den keeps 2 num coprime to it, and an even
+        # den makes num odd, so num/(den/2) is reduced too (1/2 -> 0/1)
+        if self.den % 2:
+            return _canonical(2 * self.num % self.den, self.den)
+        half = self.den // 2
+        return _canonical(self.num % half, half)
 
     def half(self, lap: int) -> "Angle":
         """The preimage ``(a + lap)/2`` under doubling, for ``lap`` 0 or 1."""
@@ -151,7 +156,8 @@ def reduce(p: int, q: int) -> Angle:
         p, q = -p, -q
     p %= q
     g = gcd(p, q)
-    return Angle(p // g, q // g)
+    # dividing out the gcd leaves the canonical form; gcd(0, q) = q gives 0/1
+    return _canonical(p // g, q // g)
 
 
 def midpoint(a: Angle, b: Angle) -> Angle:

@@ -90,15 +90,10 @@ class _RaySystem:
         self._critical = {
             s: self._postcritical[s] | set(self._theta[s].halves()) for s in Side
         }
-        self._coland_cache: dict[SideAngle, frozenset[Angle]] = {}
         self._build()
 
     def _coland(self, sa: SideAngle) -> frozenset[Angle]:
-        if sa not in self._coland_cache:
-            cls = colanding_class(self._theta[sa.side], sa.angle)
-            for a in cls:
-                self._coland_cache[SideAngle(sa.side, a)] = cls
-        return self._coland_cache[sa]
+        return colanding_class(self._theta[sa.side], sa.angle)
 
     def _build(self):
         pending = [SideAngle(s, a) for s in Side for a in sorted(self._critical[s])]

@@ -103,31 +103,44 @@ def same_landing(theta: Angle, s: Angle, t: Angle) -> bool:
 def colanding_class(theta: Angle, t: Angle) -> frozenset[Angle]:
     """All rational angles whose rays land at the same point as the ray at ``t``.
 
-    The rays at an (eventually) periodic point share the point's preperiod and
-    ray period p.  The rays at the periodic point of ``t``'s orbit are the
-    angles k/(2^p - 1) with its itinerary, found by :func:`_periodic_class`, a
-    digit search that visits a few prefixes per digit instead of all 2^p - 1
-    candidates.  The class is then lifted backwards along ``t``'s symbol
-    prefix, one preimage per symbol.
+    The class depends on ``theta`` and ``t`` only, so each class found is kept,
+    under every member, in one map per ``theta`` that lives for the process.
+    A new class is the lift of its image's class: the halves of its angles on
+    ``t``'s side of the critical leaf (the leaf endpoints when ``t`` is one),
+    recursing along the doubling orbit to a known class or a closed cycle.
+    Where the cycle closes, at ray period p, the class is the angles
+    k/(2^p - 1) with its itinerary, found by :func:`_periodic_class`, a digit
+    search that visits a few prefixes per digit instead of all 2^p - 1
+    candidates; so the search runs once per cycle.
     """
     _require_preperiodic(theta)
-    info = t.orbit_info()
-    ell = info.preperiod
-    current = _periodic_class(theta, info.orbit[ell:-1])
-    for k in range(ell - 1, -1, -1):
-        want = side(theta, info.orbit[k])
-        lifted = set()
-        for a in current:
-            for half in a.halves():
-                if want is None:
-                    if side(theta, half) is None:
-                        lifted.add(half)
-                elif side(theta, half) == want:
-                    lifted.add(half)
-        current = frozenset(lifted)
-    if t not in current:
+    known = _class_map(theta)
+    seen: dict[Angle, None] = {}  # the orbit of t up to a known class or a repeat
+    a = t
+    while a not in known and a not in seen:
+        seen[a] = None
+        a = a.double()
+    path = list(seen)
+    if a not in known:  # the orbit closed its cycle at a
+        _enter(known, a, _periodic_class(theta, path[path.index(a) :]))
+    for x in reversed(path):
+        if x not in known:
+            want = side(theta, x)
+            _enter(known, x, frozenset(h for y in known[a] for h in y.halves() if side(theta, h) == want))
+        a = x
+    return known[t]
+
+
+@lru_cache(maxsize=None)
+def _class_map(theta: Angle) -> dict[Angle, frozenset[Angle]]:
+    """The co-landing classes found so far for ``theta``, keyed by each member."""
+    return {}
+
+
+def _enter(known: dict[Angle, frozenset[Angle]], t: Angle, cls: frozenset[Angle]):
+    if t not in cls:
         raise AssertionError(f"co-landing class of {t} failed to contain it")
-    return current
+    known.update(dict.fromkeys(cls, cls))
 
 
 def _periodic_class(theta: Angle, cycle: list[Angle]) -> frozenset[Angle]:

@@ -48,6 +48,27 @@ class TestConstruction:
         assert a.fraction == Fraction(a.num, a.den)
 
 
+class TestCanonicalConstruction:
+    """``reduce`` and ``double`` build without the validating constructor, so
+    their results are checked against ``Angle(...)`` built from ``Fraction``."""
+
+    @given(
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.builds(
+            lambda odd, k, sign: sign * odd << k,
+            st.integers(min_value=1, max_value=10**6),
+            st.integers(min_value=0, max_value=70),
+            st.sampled_from([1, -1]),
+        ),
+    )
+    def test_reduce_and_double_match_fractions(self, p, q):
+        f = Fraction(p, q) % 1
+        a = reduce(p, q)
+        assert a == Angle(f.numerator, f.denominator)
+        f = 2 * f % 1
+        assert a.double() == Angle(f.numerator, f.denominator)
+
+
 class TestDoubling:
     def test_known_orbit(self):
         # 1/8 -> 1/4 -> 1/2 -> 0 -> 0

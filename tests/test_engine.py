@@ -3,6 +3,7 @@
 import cmath
 import heapq
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quadmate import engine, newton
+from quadmate import combinatorics, engine, lamination, newton
 from quadmate.angles import Angle, midpoint, reduce
 from quadmate.combinatorics import (
     Mark,
@@ -44,6 +45,8 @@ A14, A18 = Angle(1, 4), Angle(1, 8)
 
 # structural_gates verdicts of every pair in the bench's gate census
 GATE_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "gate_verdicts.txt"
+# structural_gates reasons of every 97th pair with even denominators <= 64
+GATE_REASONS_64 = Path(__file__).resolve().parent / "data" / "gate_reasons_64.txt"
 VERDICT_PREFIXES = {
     "conjugate limbs": "conjugate",
     "pinched curve": "pinched",
@@ -1318,6 +1321,37 @@ class TestStructuralGates:
             reason = structural_gates(Angle.parse(alpha), Angle.parse(beta))
             got = "accepted" if reason is None else VERDICT_PREFIXES[reason.split(":", 1)[0]]
             assert got == want, (alpha, beta, reason)
+
+    @staticmethod
+    def cold_reasons(pairs):
+        """Gate reasons of ``pairs`` in order, from an empty co-landing class map."""
+        lamination._class_map.cache_clear()
+        combinatorics._ray_system.cache_clear()
+        return {(a, b): structural_gates(Angle.parse(a), Angle.parse(b)) for a, b in pairs}
+
+    def test_reasons_do_not_depend_on_gate_order(self):
+        # the class map is shared by every pair gated with one angle, so a
+        # class must come out the same whichever pair first reaches it
+        with GATE_VERDICTS.open() as fh:
+            rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+        pairs = [(alpha, beta) for alpha, beta, _ in rows]
+        shuffled = pairs[:]
+        random.Random(19).shuffle(shuffled)
+        assert self.cold_reasons(shuffled) == self.cold_reasons(pairs)
+
+    def test_reasons_even_denominators_to_64(self):
+        # periods up to 28; every 97th pair of the 94830, so the enumeration
+        # below must reproduce the committed pairs
+        candidates = {reduce(p, q) for q in range(2, 65, 2) for p in range(1, q)}
+        angles = sorted(a for a in candidates if a.is_preperiodic())
+        pairs = [(str(a), str(b)) for i, a in enumerate(angles) for b in angles[i:]]
+        assert (len(angles), len(pairs)) == (435, 94830)
+        with GATE_REASONS_64.open() as fh:
+            rows = [line.rstrip("\n").split(" ", 2) for line in fh if not line.startswith("#")]
+        assert [(a, b) for a, b, _ in rows] == pairs[::97]
+        for alpha, beta, want in rows:
+            reason = structural_gates(Angle.parse(alpha), Angle.parse(beta))
+            assert (reason or "accepted") == want, (alpha, beta)
 
     @pytest.mark.parametrize(
         "alpha,beta",

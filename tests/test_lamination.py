@@ -19,6 +19,7 @@ from quadmate.lamination import (
     side,
     wake,
 )
+from quadmate.lamination import _class_map, _periodic_class
 
 preperiodic = st.builds(
     lambda p, q: reduce(p, q),
@@ -185,9 +186,30 @@ class TestColandingOracle:
                     info = t.orbit_info()
                     if (info.preperiod, info.period) == (preperiod, period):
                         assert colanding_class(theta, t) == want, t
+                        # colanding_class searches digits once per cycle, so
+                        # the search is checked at every cycle point directly
+                        if preperiod == 0:
+                            assert _periodic_class(theta, info.orbit[:-1]) == want, t
                         checked += 1
         # 1965 periodic angles, 105 of preperiod 1 and 210 of preperiod 2
         assert checked == 2280
+
+
+class TestClassMap:
+    def test_one_angle_under_two_thetas(self):
+        # the map is kept per theta: under 1/4 (c = i) the ray 1/7 lands at
+        # the alpha fixed point with 2/7 and 4/7, and 1/14 at a preimage of
+        # it; under 1/2 (c = -2) every ray lands with its mirror image
+        under = {
+            "1/4": {"1/14": {"1/14", "9/14", "11/14"}, "1/7": {"1/7", "2/7", "4/7"}},
+            "1/2": {"1/14": {"1/14", "13/14"}, "1/7": {"1/7", "6/7"}},
+        }
+        for order in (["1/4", "1/2"], ["1/2", "1/4"]):
+            _class_map.cache_clear()
+            for t in ("1/14", "1/7"):
+                for theta in order:
+                    got = colanding_class(Angle.parse(theta), Angle.parse(t))
+                    assert got == {Angle.parse(a) for a in under[theta][t]}, (theta, t)
 
 
 class TestPullbackLamination:
