@@ -84,20 +84,6 @@ class Angle:
             return _canonical(num, 2 * self.den)
         return _canonical(num // 2, self.den)
 
-    def opposite(self) -> "Angle":
-        """The rotation ``a + 1/2 mod 1``, which takes ``half(0)`` of an angle to ``half(1)``."""
-        if self.den % 2:
-            num, den = 2 * self.num + self.den, 2 * self.den
-        else:
-            num, den = self.num + self.den // 2, self.den
-        if num >= den:
-            num -= den
-        # an odd den makes num odd; an even den leaves a factor 2 in num only
-        # when den/2 is odd, so one halving gives the canonical form (0/2 -> 0/1)
-        if num % 2:
-            return _canonical(num, den)
-        return _canonical(num // 2, den // 2)
-
     def halves(self) -> tuple["Angle", "Angle"]:
         """The two preimages under doubling, the first in ``[0, 1/2)``."""
         return self.half(0), self.half(1)
@@ -158,20 +144,6 @@ def reduce(p: int, q: int) -> Angle:
     g = gcd(p, q)
     # dividing out the gcd leaves the canonical form; gcd(0, q) = q gives 0/1
     return _canonical(p // g, q // g)
-
-
-def midpoint(a: Angle, b: Angle) -> Angle:
-    """The midpoint of the shorter arc from ``a`` to ``b`` (counterclockwise on a tie)."""
-    # over the common denominator d: the counterclockwise step from a to b,
-    # made signed when it passes half a turn, and half of it added to a
-    d = a.den * b.den
-    na = a.num * b.den
-    step = (b.num * a.den - na) % d
-    if 2 * step > d:
-        step -= d
-    num = (2 * na + step) % (2 * d)
-    g = gcd(num, 2 * d)
-    return _canonical(num // g, 2 * d // g)
 
 
 def cyclic_between(a: Angle, b: Angle, c: Angle) -> bool:

@@ -29,9 +29,9 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, replace
-from itertools import compress
+from itertools import chain, compress
 
-from .angles import Angle, midpoint, reduce
+from .angles import Angle, reduce
 from .combinatorics import (
     MarkKind,
     Schedule,
@@ -54,13 +54,13 @@ from .ratmap import (
 )
 
 ZERO = Angle(0, 1)
-HALF = Angle(1, 2)
 
 # how distinguishable the two branch candidates must be before a step is
 # accepted without refinement
 _AMBIGUITY_RATIO = 0.8
 _MAX_REFINE = 48
 _DENSIFY_STEPS = 8  # samples _densify adds toward each critical passage
+_PARAM_BITS = _MAX_REFINE + _DENSIFY_STEPS  # the most halvings of one lifted parent step
 _STITCH_TOL = 1e-6
 _CRITICAL_COLLISION_TOL = 1e-13
 _MARK_WINDOW = 8  # samples on each side of a mark that prune leaves alone
@@ -104,22 +104,35 @@ _FINISH_STALE = 3
 class DiscreteCurve:
     """Closed polyline on the sphere; samples ascend by parameter from 0.
 
-    Sample k sits at parameter ``params[k]`` and position ``points[k]``.
-    ``marks[j]`` is the index of the sample that carries
-    ``schedule.marks[j]``, so the marked indices ascend with the schedule's
-    marks, and the curve's level is ``schedule.level``.
+    Sample k sits at parameter ``params[k] / den``, in lowest terms
+    (``gcd(den, *params) == 1``), and position ``points[k]``.  ``marks[j]``
+    is the index of the sample that carries ``schedule.marks[j]``, so the
+    marked indices ascend with the schedule's marks, and the curve's level
+    is ``schedule.level``.
     """
 
-    params: tuple[Angle, ...]
+    params: tuple[int, ...]
+    den: int
     points: tuple[SpherePoint, ...]
     marks: tuple[int, ...]
     schedule: Schedule
 
+    @classmethod
+    def from_angles(cls, params, points, marks, schedule: Schedule) -> DiscreteCurve:
+        """The curve with samples at the angles ``params``."""
+        den = math.lcm(*(t.den for t in params))
+        return cls(tuple(t.num * (den // t.den) for t in params), den,
+                   tuple(points), tuple(marks), schedule)
+
+    def param(self, k: int) -> Angle:
+        """The parameter of sample ``k``."""
+        return reduce(self.params[k], self.den)
+
     def index(self, t: Angle) -> int:
         """The position of the sample at parameter ``t``, by bisection."""
-        params = self.params
-        k = bisect_left(params, t)
-        if k < len(params) and params[k] == t:
+        num, rest = divmod(t.num * self.den, t.den)
+        k = bisect_left(self.params, num)
+        if not rest and k < len(self.params) and self.params[k] == num:
             return k
         raise KeyError(t)
 
@@ -195,6 +208,9 @@ def init_embedding(s: Schedule, samples_per_arc: int) -> DiscreteCurve:
     """The level-0 curve: the unit circle, parameter t at e^{2 pi i t}."""
     if s.level != 0:
         raise ValueError("initial embedding requires a level-0 schedule")
+    # an inner sample per arc keeps its lifts within _PARAM_BITS halvings
+    if samples_per_arc < 1:
+        raise ValueError(f"samples_per_arc must be positive, got {samples_per_arc}")
     # the marks ascend from 0, so the arcs between them, the last one
     # closing at 1, are laid down in ascending order.  Sample j of the arc
     # from a/b to c/d sits at (a d (S - j) + c b j) / (b d S)
@@ -215,7 +231,7 @@ def init_embedding(s: Schedule, samples_per_arc: int) -> DiscreteCurve:
             t = reduce(a * d * (S - j) + c * b * j, b * d * S)
             params.append(t)
             points.append(_unit_circle(t))
-    return DiscreteCurve(tuple(params), tuple(points), tuple(marks), s)
+    return DiscreteCurve.from_angles(params, points, marks, s)
 
 
 def read_critical_values(c: DiscreteCurve) -> tuple[SpherePoint, SpherePoint]:
@@ -252,22 +268,6 @@ def _slerp_mid(a: SpherePoint, b: SpherePoint) -> tuple[bool, SpherePoint]:
     return True, from_sphere(tuple(x / n for x in s))
 
 
-def _lift_arc(
-    F: NormalizedQuadratic, entries: list[tuple[Angle, SpherePoint]]
-) -> list[tuple[Angle, SpherePoint]]:
-    """One continuous lift of an arc, anchored at the principal root.
-
-    Refinement inserts spherical midpoints of the parent polyline whenever the
-    two branch candidates are close to equidistant from the previous lifted
-    point; inserted samples stay in the output.
-    """
-    t0, z0 = entries[0]
-    out = [(t0, F.preimages(z0)[0])]
-    for t1, z1 in entries[1:]:
-        _lift_step(F, out, out[-1][0], out[-1][1], t1, z1, _MAX_REFINE)
-    return out
-
-
 def _winding_choice(prev, plus, minus) -> SpherePoint:
     """Branch continuation by the phase of the squared step.
 
@@ -289,78 +289,102 @@ def _winding_choice(prev, plus, minus) -> SpherePoint:
     return plus if abs(plus - w) <= abs(minus - w) else minus
 
 
-def _lift_step(F, out, t0, prev, t1, z1, depth) -> SpherePoint:
-    """Append the lift of the parent step to ``(t1, z1)`` that continues ``prev``.
+def _mid(t0: int, t1: int) -> int:
+    """The parameter halfway between two child parameters (see pullback_curve)."""
+    if (t0 + t1) & 1:
+        raise AssertionError("a parameter midpoint fell below the child denominator")
+    return (t0 + t1) >> 1
 
-    ``F.preimages`` returns ``(root, -root)``, exact negatives, so
-    1 + |minus|^2 is 1 + |plus|^2 to the bit and the chordal distances of
-    both candidates to ``prev`` share one denominator.  The distances are
-    formed once, as the same quotients in the same order that ``chordal``
-    forms, so they are bit-identical to it; a point at infinity, or a
-    difference, square or product that overflows, goes through ``chordal``
-    itself.
+
+def _lift_arc(
+    F: NormalizedQuadratic, entries: list[tuple[int, SpherePoint]]
+) -> list[tuple[int, SpherePoint]]:
+    """One continuous lift of an arc, anchored at the principal root.
+
+    Each step takes the candidate, ``root`` or ``-root``, nearer the previous
+    lifted point; when the two are close to equidistant, the spherical
+    midpoint of the parent step is lifted first, nested up to ``_MAX_REFINE``
+    deep, and stays in the output.  Parameters are integers over one
+    denominator; a failed step raises :class:`BranchTrackingError` with its
+    parameter's numerator.
+
+    The candidates are exact negatives, so their chordal distances to the
+    previous point share one denominator.  They are formed once, as the
+    same quotients in the same order that ``chordal`` forms, so they are
+    bit-identical to it; a point at infinity, or a difference, square or
+    product that overflows, goes through ``chordal`` itself.
     """
-    plus, minus = F.preimages(z1)
-    if plus is not None and prev is not None:
-        split, r = abs(plus - minus), abs(prev)
-        dp, dm = abs(plus - prev), abs(minus - prev)
-        pp = 1.0 + plus.real * plus.real + plus.imag * plus.imag
-        qq = 1.0 + prev.real * prev.real + prev.imag * prev.imag
-        p2, pq = pp * pp, pp * qq
-    if plus is None or prev is None or not split + dp + dm + r * r + p2 + pq < math.inf:
-        split = chordal(plus, minus)
-        at_zero, at_inf = chordal(prev, 0.0 + 0.0j), chordal(prev, None)
-        dp, dm = chordal(plus, prev), chordal(minus, prev)
-    else:
-        den = pq ** 0.5
-        split = 2.0 * split / p2 ** 0.5
-        at_zero, at_inf = 2.0 * r / qq ** 0.5, 2.0 / (1.0 + r**2) ** 0.5
-        dp, dm = 2.0 * dp / den, 2.0 * dm / den
-    if split < 1e-12:
-        # critical-value passage: the two branches meet, no choice to make
-        out.append((t1, plus))
-        return plus
-    if at_zero < 1e-9 or at_inf < 1e-9:
-        # leaving a critical point: both continuations are equidistant, and
-        # the stitcher's sign choice overrides whichever we take
-        out.append((t1, plus))
-        return plus
-    near, far = min(dp, dm), max(dp, dm)
-    if far > 0 and near / far <= _AMBIGUITY_RATIO:
-        chosen = plus if dp <= dm else minus
-        out.append((t1, chosen))
-        return chosen
-    if depth == 0:
-        # refinement exhausted: a skim past a branch point keeps the ratio
-        # ambiguous at every scale, but the winding rule still resolves it;
-        # the step is tiny by now, so its phase is trusted outright
-        chosen = _winding_choice(prev, plus, minus)
-        if chosen is None:
-            raise BranchTrackingError(t1)
-        out.append((t1, chosen))
-        return chosen
-    # reconstruct the parent position at t0 to bisect against
-    z0 = F.eval(prev)
-    ok, zm = _slerp_mid(z0, z1)
-    if not ok:
-        raise BranchTrackingError(t1)
-    tm = midpoint(t0, t1)
-    mid = _lift_step(F, out, t0, prev, tm, zm, depth - 1)
-    return _lift_step(F, out, tm, mid, t1, z1, depth - 1)
+    inf = math.inf
+    t0, _ = entries[0]
+    roots = F.roots([z for _, z in entries])
+    prev = roots[0]
+    out = [(t0, prev)]
+    # refined steps still to take, the next one last: (parameter, parent
+    # position, principal root, refinements left)
+    todo: list[tuple[int, SpherePoint, SpherePoint, int]] = []
+    k = 0
+    while True:
+        if todo:
+            t1, z1, plus, depth = todo.pop()
+        elif (k := k + 1) < len(entries):
+            (t1, z1), plus, depth = entries[k], roots[k], _MAX_REFINE
+        else:
+            return out
+        minus = None if plus is None else -plus
+        if plus is not None and prev is not None:
+            split, r = abs(plus - minus), abs(prev)
+            dp, dm = abs(plus - prev), abs(minus - prev)
+            pp = 1.0 + plus.real * plus.real + plus.imag * plus.imag
+            qq = 1.0 + prev.real * prev.real + prev.imag * prev.imag
+            p2, pq = pp * pp, pp * qq
+        if plus is None or prev is None or not split + dp + dm + r * r + p2 + pq < inf:
+            split = chordal(plus, minus)
+            at_zero, at_inf = chordal(prev, 0.0 + 0.0j), chordal(prev, None)
+            dp, dm = chordal(plus, prev), chordal(minus, prev)
+        else:
+            den = pq ** 0.5
+            split = 2.0 * split / p2 ** 0.5
+            at_zero, at_inf = 2.0 * r / qq ** 0.5, 2.0 / (1.0 + r**2) ** 0.5
+            dp, dm = 2.0 * dp / den, 2.0 * dm / den
+        near, far = (dp, dm) if dp <= dm else (dm, dp)
+        if split < 1e-12 or at_zero < 1e-9 or at_inf < 1e-9:
+            # a critical-value passage, where the two branches meet, or a step
+            # leaving a critical point, where both continuations are
+            # equidistant and the stitcher's sign choice overrides this one
+            prev = plus
+        elif far > 0 and near / far <= _AMBIGUITY_RATIO:
+            prev = plus if dp <= dm else minus
+        elif depth == 0:
+            # refinement exhausted: a skim past a branch point keeps the ratio
+            # ambiguous at every scale, but the winding rule still resolves it;
+            # the step is tiny by now, so its phase is trusted outright
+            prev = _winding_choice(prev, plus, minus)
+            if prev is None:
+                raise BranchTrackingError(t1)
+        else:
+            # bisect against the parent position at t0, reconstructed
+            ok, zm = _slerp_mid(F.eval(prev), z1)
+            if not ok:
+                raise BranchTrackingError(t1)
+            todo.append((t1, z1, plus, depth - 1))
+            todo.append((_mid(t0, t1), zm, F.preimages(zm)[0], depth - 1))
+            continue
+        out.append((t1, prev))
+        t0 = t1
 
 
 def _densify(
-    far: tuple[Angle, SpherePoint], near: tuple[Angle, SpherePoint]
-) -> list[tuple[Angle, SpherePoint]]:
+    far: tuple[int, SpherePoint], near: tuple[int, SpherePoint]
+) -> list[tuple[int, SpherePoint]]:
     """Samples accumulating geometrically from ``far`` toward ``near``."""
-    out: list[tuple[Angle, SpherePoint]] = []
+    out: list[tuple[int, SpherePoint]] = []
     t1, z1 = near
     cur = far
     for _ in range(_DENSIFY_STEPS):
         ok, zm = _slerp_mid(cur[1], z1)
         if not ok:
             break
-        cur = (midpoint(cur[0], t1), zm)
+        cur = (_mid(cur[0], t1), zm)
         out.append(cur)
     return out
 
@@ -394,21 +418,25 @@ def pullback_curve(
     Each parent arc is lifted once.  Lap 1 passes the same positions as
     lap 0 at parameters moved by 1/2, both halves of a critical value are
     critical-point marks, and a lift reads parameters only through
-    :func:`midpoint`, which commutes with that rotation; so the lift of each
-    lap-1 arc is the lift of its lap-0 twin with every parameter moved by
-    1/2 (:meth:`Angle.opposite`), its head and tail at the child marks.
+    midpoints, which commute with that rotation; so the lift of each lap-1
+    arc is the lift of its lap-0 twin with every parameter moved by 1/2, its
+    head and tail at the child marks.
 
-    Parameters stay exact angles: a parent sample at ``a`` reappears at
-    ``a.half(0)`` and ``a.half(1)``, and refinement inserts arc midpoints.
-    The parent's parameters ascend from 0, so the child traversal ascends
-    too (lap 0 fills [0, 1/2), lap 1 fills [1/2, 1)), and every midpoint lies
-    strictly between its neighbours.  Hence the child marks sit at the
-    parent's marked samples on each lap, the arc heads are the only marked
-    samples, and the stitched arcs concatenate in ascending order.
+    Parameters stay exact, as integers over the child denominator
+    ``den << (_PARAM_BITS + 1)``: a parent sample at ``t`` reappears at
+    ``t << _PARAM_BITS`` and at that plus 1/2, and refinement and
+    densification insert arc midpoints, at most ``_PARAM_BITS`` halvings
+    deep.  The parent's parameters ascend from 0, so the child traversal
+    ascends too (lap 0 fills [0, 1/2), lap 1 fills [1/2, 1)), and every
+    midpoint lies strictly between its neighbours.  Hence the child marks
+    sit at the parent's marked samples on each lap, the arc heads are the
+    only marked samples, and the stitched arcs concatenate in ascending
+    order.
     """
     # lap 0 of the child traversal: the parent loop with its parameters
     # halved, closed at 1/2, where lap 1 begins at the anchor's position
-    params = [t.half(0) for t in c.params] + [HALF]
+    den, half = c.den << (_PARAM_BITS + 1), c.den << _PARAM_BITS
+    params = [t << _PARAM_BITS for t in c.params] + [half]
     positions = [*c.points, c.points[0]]
 
     # the child marks are the halves of the parent's marks in order, lap 0
@@ -418,10 +446,10 @@ def pullback_curve(
     m = len(marked)
     if 2 * m != len(arc_marks):
         raise AssertionError("child schedule does not halve the parent's marks")
-    if params[marked[0]] != ZERO:
+    if params[marked[0]] != 0:
         raise AssertionError("child traversal lost its anchor mark")
     boundaries = marked + [len(c.params)]
-    lifts: list[list[tuple[Angle, SpherePoint]]] = []
+    lifts: list[list[tuple[int, SpherePoint]]] = []
     for k in range(m):
         start, end = boundaries[k], boundaries[k + 1]
         entries = list(zip(params[start : end + 1], positions[start : end + 1]))
@@ -437,7 +465,7 @@ def pullback_curve(
         try:
             lifts.append(_lift_arc(F, entries))
         except BranchTrackingError as exc:
-            exc.arc = k
+            exc.arc, exc.parameter = k, reduce(exc.parameter, den)
             raise
     # each lap-1 arc passes its lap-0 twin's positions (see above), so the
     # stitching reads arc k + m through the twin's lift
@@ -534,19 +562,22 @@ def pullback_curve(
     # takes its twin's parameters moved by 1/2, between the child marks, and
     # shares its twin's positions, each arc negated by its own sign
     lap0 = [tuple(zip(*lift[:-1])) for lift in lifts]
-    lap1 = [
-        (arc_marks[k + m].parameter, *[t.opposite() for t in ts[1:]])
-        for k, (ts, _) in enumerate(lap0)
-    ]
-    out_params: list[Angle] = []
+    # lap 1 adds half to lap 0, so the common factor is the gcd of half and
+    # lap 0: a power of two, as the parent is in lowest terms
+    shift = math.gcd(half, *chain.from_iterable(ts for ts, _ in lap0)).bit_length() - 1
+    half >>= shift
+    lap0 = [([t >> shift for t in ts], ps) for ts, ps in lap0]
+    out_params: list[int] = []
     out_points: list[SpherePoint] = []
     out_marks: list[int] = []
     for k, sign in enumerate(signs):
-        ts, ps = lap0[k] if k < m else (lap1[k - m], lap0[k - m][1])
+        ts, ps = lap0[k % m]
         out_marks.append(len(out_params))
-        out_params += ts
+        out_params += ts if k < m else [t + half for t in ts]
         out_points += ps if sign == 1 else [None if p is None else -p for p in ps]
-    return DiscreteCurve(tuple(out_params), tuple(out_points), tuple(out_marks), s_next)
+    return DiscreteCurve(
+        tuple(out_params), den >> shift, tuple(out_points), tuple(out_marks), s_next
+    )
 
 
 def relabel(c_next: DiscreteCurve) -> dict[int, SpherePoint]:
@@ -764,9 +795,12 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
         before += keep[at:i].count(True)
         marks.append(before)
         at = i
-    return DiscreteCurve(
-        tuple(compress(c.params, keep)), tuple(compress(points, keep)), tuple(marks), c.schedule
-    )
+    # the dropped samples may leave the others a common factor
+    params, den = list(compress(c.params, keep)), c.den
+    g = math.gcd(den, *params)
+    if g > 1:
+        params, den = [t // g for t in params], den // g
+    return DiscreteCurve(tuple(params), den, tuple(compress(points, keep)), tuple(marks), c.schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +818,8 @@ def _rebase(c: DiscreteCurve, s0: Schedule) -> DiscreteCurve:
     only the marked samples are read.
     """
     kept = {m.parameter for m in s0.marks}
-    marks = tuple(i for i in c.marks if c.params[i] in kept)
-    return DiscreteCurve(c.params, c.points, marks, replace(s0, level=c.schedule.level))
+    marks = tuple(i for i in c.marks if c.param(i) in kept)
+    return replace(c, marks=marks, schedule=replace(s0, level=c.schedule.level))
 
 
 def _collision(embedded: dict[int, SpherePoint]) -> tuple[int, int] | None:
@@ -864,8 +898,10 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
     tries again at its next stalled record.  ``curve_hook`` receives the
     curve of each record as it is added, except the record of a collision;
     the curve's ``schedule.level`` is the record's n, and its positions at
-    the schedule's two value parameters are the record's u and v.  Raises ValueError, before the level-0 curve is built, when
-    ``opts.budget`` is below the marked-sample count of a lifted curve.
+    the schedule's two value parameters are the record's u and v.  Raises
+    ValueError, before the level-0 curve is built, when ``opts.budget`` is
+    below the marked-sample count of a lifted curve, and when the curve is
+    built, when ``opts.samples_per_arc`` is below 1.
     """
     report = RunReport(alpha=alpha, beta=beta, status="", options=asdict(opts))
     reason = structural_gates(alpha, beta)

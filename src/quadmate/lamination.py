@@ -84,20 +84,25 @@ def same_landing(theta: Angle, s: Angle, t: Angle) -> bool:
 
     Exact itinerary comparison: the pair orbit under simultaneous doubling is
     eventually periodic, so equality of the two symbol streams is decidable in
-    finitely many steps.
+    finitely many steps.  Where the symbols first differ, both rays may still
+    land at the critical point, whose rays double onto those landing with
+    ``theta``; theta's own orbit never meets the critical point.
     """
     _require_preperiodic(theta)
-    if s == t:
-        return True
+    split = _first_split(theta, s, t)
+    return split is None or all(_first_split(theta, x.double(), theta) is None for x in split)
+
+
+def _first_split(theta: Angle, s: Angle, t: Angle) -> tuple[Angle, Angle] | None:
+    """The first pair of the orbit of ``(s, t)`` on different sides of the leaf."""
     seen: set[tuple[Angle, Angle]] = set()
     pair = (s, t)
     while pair not in seen:
         seen.add(pair)
-        x, y = pair
-        if side(theta, x) != side(theta, y):
-            return False
-        pair = (x.double(), y.double())
-    return True
+        if side(theta, pair[0]) != side(theta, pair[1]):
+            return pair
+        pair = (pair[0].double(), pair[1].double())
+    return None
 
 
 def colanding_class(theta: Angle, t: Angle) -> frozenset[Angle]:
@@ -106,8 +111,10 @@ def colanding_class(theta: Angle, t: Angle) -> frozenset[Angle]:
     The class depends on ``theta`` and ``t`` only, so each class found is kept,
     under every member, in one map per ``theta`` that lives for the process.
     A new class is the lift of its image's class: the halves of its angles on
-    ``t``'s side of the critical leaf (the leaf endpoints when ``t`` is one),
-    recursing along the doubling orbit to a known class or a closed cycle.
+    ``t``'s side of the critical leaf, or all of them when the image class
+    holds ``theta`` (the critical point's class, which holds the leaf
+    endpoints), recursing along the doubling orbit to a known class or a
+    closed cycle.
     Where the cycle closes, at ray period p, the class is the angles
     k/(2^p - 1) with its itinerary, found by :func:`_periodic_class`, a digit
     search that visits a few prefixes per digit instead of all 2^p - 1
@@ -125,8 +132,11 @@ def colanding_class(theta: Angle, t: Angle) -> frozenset[Angle]:
         _enter(known, a, _periodic_class(theta, path[path.index(a) :]))
     for x in reversed(path):
         if x not in known:
-            want = side(theta, x)
-            _enter(known, x, frozenset(h for y in known[a] for h in y.halves() if side(theta, h) == want))
+            # the critical point is the one preimage of theta's landing point
+            crit, want = theta in known[a], side(theta, x)
+            _enter(known, x, frozenset(
+                h for y in known[a] for h in y.halves() if crit or side(theta, h) == want
+            ))
         a = x
     return known[t]
 

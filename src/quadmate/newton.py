@@ -174,9 +174,7 @@ def finish(
     points = list(curve.points)
     for t, z in target.items():
         points[curve.index(t)] = z
-    polished = DiscreteCurve(
-        curve.params, tuple(points), curve.marks, replace(curve.schedule, level=level)
-    )
+    polished = replace(curve, points=tuple(points), schedule=replace(curve.schedule, level=level))
     u, v = read_critical_values(curve)
     try:
         pu, pv = read_critical_values(polished)

@@ -146,21 +146,23 @@ class NormalizedQuadratic:
         the root is not finite (``-root`` is finite exactly when ``root`` is).
         Lifting relies on that to share work between the two candidates.
         """
+        (root,) = self.roots((w,))
+        return (None, None) if root is None else (root, -root)
+
+    def roots(self, ws) -> list[SpherePoint]:
+        """The first of :meth:`preimages` for each point of ``ws``, in one call."""
         a, b, c, d = self.coeffs
-        if type(w) is not complex or not cmath.isfinite(w):
-            w = as_point(w)
-        if w is None:
-            wn, wd = 1.0 + 0.0j, 0.0j
-        else:
-            wn, wd = w, 1.0 + 0.0j
-        num = d * wn - b * wd
-        den = a * wd - c * wn
-        if den == 0:
-            return (None, None)
-        root = cmath.sqrt(num / den)
-        if cmath.isfinite(root):
-            return (root, -root)
-        return (None, None)
+        out = []
+        isfinite, sqrt = cmath.isfinite, cmath.sqrt
+        for w in ws:
+            if type(w) is not complex or not isfinite(w):
+                w = as_point(w)
+            wn, wd = (1.0 + 0.0j, 0.0j) if w is None else (w, 1.0 + 0.0j)
+            num = d * wn - b * wd
+            den = a * wd - c * wn
+            root = None if den == 0 else sqrt(num / den)
+            out.append(root if root is not None and isfinite(root) else None)
+        return out
 
 
 def from_critical_values(u: SpherePoint, v: SpherePoint) -> NormalizedQuadratic:

@@ -49,8 +49,8 @@ def dump_curve(c: DiscreteCurve, u: SpherePoint = None, v: SpherePoint = None) -
         color = "-" if m.color is None else m.color.value
         lines.append(f"{m.parameter} {m.kind.value} {pid} {color}")
     lines.append(f"samples {len(c.params)}")
-    for t, z in zip(c.params, c.points):
-        lines.append(f"{t} {_fmt_point(z)}")
+    for k, z in enumerate(c.points):
+        lines.append(f"{c.param(k)} {_fmt_point(z)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -204,7 +204,7 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
         black_value=black_value,
         red_value=red_value,
     )
-    curve = DiscreteCurve(tuple(params), tuple(points), tuple(marked), schedule)
+    curve = DiscreteCurve.from_angles(params, points, marked, schedule)
     for what, t, line in needed:
         try:
             curve.index(t)

@@ -180,24 +180,24 @@ class TestCriterion7InvariantSuites:
         c1 = pullback_curve(c0, F, pullback_schedule(s0, A14, A18))
 
         # lift fidelity: every lifted sample maps back onto its parent sample
-        parent = dict(zip(c0.params, c0.points))
-        for t, z in zip(c1.params, c1.points):
-            target = parent.get(t.double())
+        parent = {c0.param(k): z for k, z in enumerate(c0.points)}
+        for k, z in enumerate(c1.points):
+            target = parent.get(c1.param(k).double())
             if target is not None:
                 assert chordal(F.eval(z), target) <= 1e-10
 
         # schedule fidelity: curve marks are exactly the schedule marks
-        assert [c1.params[i] for i in c1.marks] == [m.parameter for m in c1.schedule.marks]
+        assert [c1.param(i) for i in c1.marks] == [m.parameter for m in c1.schedule.marks]
 
         # anchor preservation
         assert chordal(c1.point_at(Angle(0, 1)), 1.0 + 0.0j) <= 1e-10
 
         # prune order preservation: output is a subsequence keeping all marks
         pruned = prune(c1, 250, 1e-6)
-        it = iter(zip(c1.params, c1.points))
-        for t, p in zip(pruned.params, pruned.points):
-            assert any(orig_t is t and orig_p is p for orig_t, orig_p in it)
-        assert [pruned.params[i] for i in pruned.marks] == [
+        it = iter(enumerate(c1.points))
+        for k, p in enumerate(pruned.points):
+            assert any(c1.param(j) == pruned.param(k) and q is p for j, q in it)
+        assert [pruned.param(i) for i in pruned.marks] == [
             m.parameter for m in c1.schedule.marks
         ]
 

@@ -212,6 +212,34 @@ class TestClassMap:
                     assert got == {Angle.parse(a) for a in under[theta][t]}, (theta, t)
 
 
+    def test_doubling_maps_each_class_onto_a_class(self):
+        # every theta with an even denominator up to 64, and every t whose
+        # denominator is theta's or twice it: the image of t's class is the
+        # class of 2t, also where t lands at the critical point
+        thetas = sorted({reduce(p, q) for q in range(2, 65, 2) for p in range(1, q)})
+        thetas = [theta for theta in thetas if theta.is_preperiodic()]
+        checked = 0
+        for theta in thetas:
+            for q in (theta.den, 2 * theta.den):
+                for p in range(1, q):
+                    if gcd(p, q) == 1:
+                        t = Angle(p, q)
+                        image = {x.double() for x in colanding_class(theta, t)}
+                        assert image == colanding_class(theta, t.double()), (theta, t)
+                        checked += 1
+        assert (len(thetas), checked) == (435, 24399)
+
+    def test_critical_point_takes_every_half_of_the_critical_value(self):
+        # the critical value of 9/56 lands with 11/56 and 15/56, so all six
+        # of their halves land at the critical point, leaf endpoints or not
+        theta = Angle(9, 56)
+        critical = {reduce(n, 112) for n in (9, 11, 15, 65, 67, 71)}
+        for t in critical:
+            assert colanding_class(theta, t) == critical
+            assert all(same_landing(theta, s, t) for s in critical)
+            assert not same_landing(theta, reduce(13, 112), t)
+
+
 class TestPullbackLamination:
     @settings(max_examples=25, deadline=None)
     @given(preperiodic, st.integers(min_value=1, max_value=6))

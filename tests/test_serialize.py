@@ -4,7 +4,7 @@ import pytest
 
 from quadmate.angles import Angle
 from quadmate.combinatorics import base_schedule, pullback_schedule
-from quadmate.engine import init_embedding, pullback_curve, read_critical_values
+from quadmate.engine import init_embedding, iterate, pullback_curve, read_critical_values
 from quadmate.errors import SerializationError
 from quadmate.ratmap import from_critical_values
 from quadmate.serialize import dump_curve, format_report, load_curve
@@ -29,7 +29,18 @@ class TestRoundTrip:
         assert u == 1j and v == -1j
         assert back.schedule.level == 0
         assert back.schedule == c.schedule
-        assert (back.params, back.points) == (c.params, c.points)
+        assert (back.params, back.den, back.points) == (c.params, c.den, c.points)
+
+    def test_hooked_curves_reload_field_for_field(self):
+        # every curve of the worked example's run at the default options, to
+        # its certified finish at record 25
+        curves = []
+        report = iterate(A14, A18, curve_hook=curves.append)
+        assert report.records[-1].n == 25
+        for c, rec in zip(curves, report.records):
+            back, u, v = load_curve(dump_curve(c, rec.u, rec.v))
+            assert back == c
+            assert (u, v) == (rec.u, rec.v)
 
     def test_bytes_stable_through_reload(self, curve_with_infinity):
         c, u, v = curve_with_infinity
