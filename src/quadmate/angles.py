@@ -110,6 +110,9 @@ class Angle:
         return OrbitInfo(preperiod=first, period=len(orbit) - 1 - first, orbit=orbit)
 
 
+ZERO = Angle(0, 1)
+
+
 @dataclass(frozen=True)
 class OrbitInfo:
     preperiod: int

@@ -30,7 +30,6 @@ from .engine import (
     IterateOptions,
     RunReport,
     iterate,
-    structural_gates,
 )
 from .errors import AngleError, QuadmateError, StructuralError
 from .lamination import mateable_detail

@@ -22,12 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .angles import Angle
+from .angles import ZERO, Angle
 from .errors import AngleError, StructuralError
-# same_landing is unused here, but perfbench/worker.py wraps this name to count calls
-from .lamination import colanding_class, same_landing
-
-ZERO = Angle(0, 1)
+from .lamination import colanding_class
 
 # closure guard: rational ray classes are finite, but a bug upstream would
 # otherwise spin forever
@@ -284,7 +281,6 @@ def _base_params(alpha: Angle, beta: Angle) -> frozenset[Angle]:
 def _point_ids(params: frozenset[Angle]) -> dict[Angle, int]:
     # ids ascend with the parameter, the anchor parameter 0 coming last
     ordered = sorted(params, key=lambda t: (t == ZERO, t))
-    ordered = [t for t in ordered if t != ZERO] + ([ZERO] if ZERO in params else [])
     return {t: k + 1 for k, t in enumerate(ordered)}
 
 

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, compress
 
-from .angles import Angle, reduce
+from .angles import ZERO, Angle, reduce
 from .combinatorics import (
     MarkKind,
     Schedule,
@@ -52,8 +52,6 @@ from .ratmap import (
     from_sphere,
     stereographic,
 )
-
-ZERO = Angle(0, 1)
 
 # how distinguishable the two branch candidates must be before a step is
 # accepted without refinement
@@ -226,7 +224,7 @@ def init_embedding(s: Schedule, samples_per_arc: int) -> DiscreteCurve:
             c += d
         marks.append(len(params))
         params.append(m.parameter)
-        points.append(1.0 + 0.0j if m.parameter == ZERO else _unit_circle(m.parameter))
+        points.append(_unit_circle(m.parameter))
         for j in range(1, S):
             t = reduce(a * d * (S - j) + c * b * j, b * d * S)
             params.append(t)
@@ -400,20 +398,19 @@ def _vec(a, b) -> tuple[float, float, float]:
     return (b[0] - a[0], b[1] - a[1], b[2] - a[2])
 
 
-def pullback_curve(
-    c: DiscreteCurve,
-    F: NormalizedQuadratic,
-    s_next: Schedule,
-) -> DiscreteCurve:
+def pullback_curve(c: DiscreteCurve, F: NormalizedQuadratic, s_next: Schedule) -> DiscreteCurve:
     """Lift the level-n curve through F onto the level n+1 schedule.
 
     The child traverses the parent loop twice (parameter doubling).  Arcs
-    between marked samples are lifted independently, then stitched: ordinary
-    boundaries fix signs by endpoint matching, while each chain between
-    critical passages takes the global sign that keeps its marked points next
-    to their embedding on the parent curve.  When that comparison is
-    ambiguous the handedness rule decides locally (fork right at the black
-    critical point, left at the red, oriented by the outward normal).
+    between marked samples are lifted independently, signed, and assembled.
+    """
+    lifts = _lift_laps(c, F, s_next)
+    signs = _arc_signs(c, lifts, s_next)
+    return _assemble(c, lifts, signs, s_next)
+
+
+def _lift_laps(c: DiscreteCurve, F: NormalizedQuadratic, s_next: Schedule) -> list[list]:
+    """The lifts of the lap-0 arcs, over the child denominator.
 
     Each parent arc is lifted once.  Lap 1 passes the same positions as
     lap 0 at parameters moved by 1/2, both halves of a critical value are
@@ -426,17 +423,11 @@ def pullback_curve(
     ``den << (_PARAM_BITS + 1)``: a parent sample at ``t`` reappears at
     ``t << _PARAM_BITS`` and at that plus 1/2, and refinement and
     densification insert arc midpoints, at most ``_PARAM_BITS`` halvings
-    deep.  The parent's parameters ascend from 0, so the child traversal
-    ascends too (lap 0 fills [0, 1/2), lap 1 fills [1/2, 1)), and every
-    midpoint lies strictly between its neighbours.  Hence the child marks
-    sit at the parent's marked samples on each lap, the arc heads are the
-    only marked samples, and the stitched arcs concatenate in ascending
-    order.
+    deep.
     """
     # lap 0 of the child traversal: the parent loop with its parameters
     # halved, closed at 1/2, where lap 1 begins at the anchor's position
-    den, half = c.den << (_PARAM_BITS + 1), c.den << _PARAM_BITS
-    params = [t << _PARAM_BITS for t in c.params] + [half]
+    params = [t << _PARAM_BITS for t in c.params] + [c.den << _PARAM_BITS]
     positions = [*c.points, c.points[0]]
 
     # the child marks are the halves of the parent's marks in order, lap 0
@@ -465,11 +456,25 @@ def pullback_curve(
         try:
             lifts.append(_lift_arc(F, entries))
         except BranchTrackingError as exc:
-            exc.arc, exc.parameter = k, reduce(exc.parameter, den)
+            exc.arc, exc.parameter = k, reduce(exc.parameter, c.den << (_PARAM_BITS + 1))
             raise
-    # each lap-1 arc passes its lap-0 twin's positions (see above), so the
-    # stitching reads arc k + m through the twin's lift
+    return lifts
+
+
+def _arc_signs(c: DiscreteCurve, lifts: list[list], s_next: Schedule) -> list[int]:
+    """The signs of the child arcs, lap 0 then lap 1.
+
+    Ordinary boundaries fix signs by endpoint matching, while each chain
+    between critical passages takes the global sign that keeps its marked
+    points next to their embedding on the parent curve.  When that is
+    ambiguous, chain 0 keeps its head nearer the anchor, and every other
+    chain takes :func:`_handedness_lead`.  A failed stitch raises
+    :class:`BranchTrackingError`.
+    """
+    # each lap-1 arc passes its lap-0 twin's positions (see _lift_laps), so
+    # the stitching reads arc k + m through the twin's lift
     arcs = lifts + lifts
+    arc_marks = s_next.marks
 
     crit_pos = {Side.BLACK: 0.0 + 0.0j, Side.RED: None}
     base_params = {t for t, _ in s_next.base_points}
@@ -529,26 +534,8 @@ def pullback_curve(
             ) else -1
         else:
             mark = arc_marks[start]
-            cp = crit_pos[mark.color]
-            n_hat = stereographic(cp)
-            back = next(
-                (p if signs[start - 1] == 1 else _neg(p)
-                 for _, p in reversed(arcs[start - 1])
-                 if chordal(p, cp) > 1e-9),
-                None,
-            )
-            ahead = next((p for _, p in arcs[start][1:] if chordal(p, cp) > 1e-9), None)
-            if back is None or ahead is None:
-                raise BranchTrackingError(
-                    mark.parameter, "curve stalls at a critical point", arc=start
-                )
-            d = _vec(stereographic(back), n_hat)
-            w = _vec(n_hat, stereographic(ahead))
-            trip = _triple(d, w, n_hat)
-            want_negative = mark.color is Side.BLACK  # fork right at 0, left at infinity
-            if trip == 0.0:
-                raise BranchTrackingError(mark.parameter, "handedness test degenerate", arc=start)
-            lead = 1 if (trip < 0) == want_negative else -1
+            lead = _handedness_lead(mark, start, crit_pos[mark.color],
+                                    arcs[start - 1], signs[start - 1], arcs[start])
         for k in range(start, stop):
             signs[k] = lead * rel[k]
 
@@ -557,7 +544,45 @@ def pullback_curve(
         raise BranchTrackingError(
             ZERO, "lifted curve fails to close at the anchor", arc=len(arcs) - 1
         )
+    return signs
 
+
+def _handedness_lead(mark, start: int, cp: SpherePoint, behind: list, sign: int, lift: list) -> int:
+    """The lead sign of arc ``start``, whose head ``mark`` is the critical point ``cp``.
+
+    The curve forks right at the black critical point and left at the red,
+    oriented by the outward normal: read off the last sample of ``behind``,
+    signed by ``sign``, and the first of ``lift`` that are not at ``cp``.
+    """
+    n_hat = stereographic(cp)
+    back = next(
+        (p if sign == 1 else _neg(p) for _, p in reversed(behind) if chordal(p, cp) > 1e-9), None
+    )
+    ahead = next((p for _, p in lift[1:] if chordal(p, cp) > 1e-9), None)
+    if back is None or ahead is None:
+        raise BranchTrackingError(mark.parameter, "curve stalls at a critical point", arc=start)
+    d = _vec(stereographic(back), n_hat)
+    w = _vec(n_hat, stereographic(ahead))
+    trip = _triple(d, w, n_hat)
+    want_negative = mark.color is Side.BLACK  # fork right at 0, left at infinity
+    if trip == 0.0:
+        raise BranchTrackingError(mark.parameter, "handedness test degenerate", arc=start)
+    return 1 if (trip < 0) == want_negative else -1
+
+
+def _assemble(
+    c: DiscreteCurve, lifts: list[list], signs: list[int], s_next: Schedule
+) -> DiscreteCurve:
+    """The child curve: the lifts under their signs, lap 0 then lap 1.
+
+    The parent's parameters ascend from 0, so the child traversal ascends
+    too (lap 0 fills [0, 1/2), lap 1 fills [1/2, 1)), and every midpoint
+    lies strictly between its neighbours.  Hence the child marks sit at the
+    parent's marked samples on each lap, the arc heads are the only marked
+    samples, and the signed arcs concatenate in ascending order.
+    """
+    den, half = c.den << (_PARAM_BITS + 1), c.den << _PARAM_BITS
+    m = len(lifts)
     # an arc's last entry is shared with the next arc's head.  A lap-1 arc
     # takes its twin's parameters moved by 1/2, between the child marks, and
     # shares its twin's positions, each arc negated by its own sign

@@ -12,10 +12,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import replace
 
-from .angles import Angle
+from .angles import ZERO, Angle
 from .combinatorics import Schedule
 from .engine import (
-    ZERO,
     DiscreteCurve,
     IterateOptions,
     IterationRecord,

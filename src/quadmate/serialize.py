@@ -9,8 +9,8 @@ offending line number.
 
 from __future__ import annotations
 
-from .angles import Angle
-from .combinatorics import ZERO, Mark, MarkKind, Schedule, Side
+from .angles import ZERO, Angle
+from .combinatorics import Mark, MarkKind, Schedule, Side
 from .engine import DiscreteCurve, RunReport
 from .errors import SerializationError
 from .ratmap import SpherePoint

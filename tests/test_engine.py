@@ -951,6 +951,61 @@ class TestBranchFailureContext:
         assert (info.value.arc, info.value.iteration) == (last, None)
         assert str(info.value).endswith(f"at parameter 0 on arc {last}")
 
+    @pytest.mark.parametrize(
+        "arc,message",
+        [
+            # arc 1 starts at the black critical point 1/8, so its head must be 0
+            (1, "lift misses the critical point at parameter 1/8 on arc 1"),
+            # arc 2 starts at the postcritical mark 1/4, inside the chain of arc 1
+            (2, "arc endpoints fail to meet at parameter 1/4 on arc 2"),
+        ],
+    )
+    def test_moved_arc_head_fails_the_stitch(self, ex2_level1, arc, message):
+        c0, F, c1 = ex2_level1
+        s1 = c1.schedule
+        lifts = engine._lift_laps(c0, F, s1)
+        assert len(engine._arc_signs(c0, lifts, s1)) == 2 * len(lifts)
+        (t, _), *rest = lifts[arc]
+        lifts[arc] = [(t, 0.5 + 0.5j), *rest]
+        with pytest.raises(BranchTrackingError) as info:
+            engine._arc_signs(c0, lifts, s1)
+        assert (str(info.value), info.value.arc) == (message, arc)
+
+    def test_curve_stalling_at_a_critical_point(self):
+        # every sample next to the red critical point sits within 1e-9 of it
+        mark = Mark(A18, MarkKind.CRITICAL_POINT, color=Side.RED)
+        behind = [(0, 1e10), (1, -1e13), (2, None)]
+        lift = [(2, None), (3, 1e12), (4, -1e11j)]
+        with pytest.raises(BranchTrackingError) as info:
+            engine._handedness_lead(mark, 3, None, behind, 1, lift)
+        assert (str(info.value), info.value.arc) == (
+            "curve stalls at a critical point at parameter 1/8 on arc 3", 3
+        )
+        # a sample 1e-8 clear on one side only is not enough
+        clear_behind, clear_ahead = [(0, 2e8), *behind], [*lift, (5, 2e8j)]
+        for args in ((clear_behind, -1, lift), (behind, 1, clear_ahead)):
+            with pytest.raises(BranchTrackingError, match="stalls"):
+                engine._handedness_lead(mark, 3, None, *args)
+        assert engine._handedness_lead(mark, 3, None, clear_behind, 1, clear_ahead) in (1, -1)
+
+    def test_handedness_degenerate_on_the_real_axis(self):
+        # through 0 along the real axis the fork has no side: the triple
+        # product of the two steps and the normal is exactly 0.0
+        mark = Mark(A18, MarkKind.CRITICAL_POINT, color=Side.BLACK)
+        behind = [(0, 0.5), (1, 0.0)]
+        lift = [(1, 0.0), (2, -0.25)]
+        for sign in (1, -1):
+            with pytest.raises(BranchTrackingError) as info:
+                engine._handedness_lead(mark, 1, 0.0 + 0.0j, behind, sign, lift)
+            assert (str(info.value), info.value.arc) == (
+                "handedness test degenerate at parameter 1/8 on arc 1", 1
+            )
+        # off the axis the same fork has a side, and the sign of the arc
+        # behind turns it
+        off = [(1, 0.0), (2, -0.25j)]
+        leads = {engine._handedness_lead(mark, 1, 0.0 + 0.0j, behind, s, off) for s in (1, -1)}
+        assert leads == {1, -1}
+
 
 class TestPrune:
     def test_budget_respected_and_marks_kept(self, ex2_level1):

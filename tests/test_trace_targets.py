@@ -19,6 +19,11 @@ from quadmate.cli import main
 from quadmate.engine import IterateOptions, iterate
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+# wrap targets that the package dropped on purpose; the bench reports each
+# one as unmeasured until its wrap goes.  combinatorics imported
+# same_landing only to be wrapped, and never called it, so its counter
+# read 0 before the import went
+DROPPED = {("quadmate.combinatorics", "same_landing")}
 
 
 def _constants(tree: ast.Module) -> dict:
@@ -105,8 +110,10 @@ def test_replace_targets_are_callables(worker):
     assert ("quadmate.engine", "_lift_arc") in targets
     assert ("quadmate.cli", "iterate") in targets
     assert ("quadmate.ratmap:NormalizedQuadratic", "preimages") in targets
-    for owner, attr in targets:
+    for owner, attr in targets - DROPPED:
         assert callable(_resolve(owner, attr)), f"{owner}.{attr}"
+    for owner, attr in DROPPED:
+        assert _resolve(owner, attr) is None, f"{owner}.{attr} is back: drop it from DROPPED"
 
 
 def test_engine_targets_are_called_through_the_module(worker, monkeypatch):
