@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 structural gate failure, 3 numeric failure (branch
 loss or divergence), 64 usage, including a dump directory that cannot be
-created; a reader that closes standard output early ends the command with 0.
+created and an artifact that cannot be written; a reader that closes standard
+output early ends the command with 0.
 Artifacts of one ``mate`` run land in a directory named by the run id, a
 digest of the full configuration, so reruns with the same configuration
 overwrite their own artifacts byte for byte.
@@ -148,6 +149,15 @@ def _run_id(alpha: Angle, beta: Angle, opts: IterateOptions) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one artifact; a failed write is a usage error, as an unusable
+    dump directory is."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise AngleError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _dump_hook(out_dir: Path):
     """A curve hook that writes each record's curve dump as the record is made.
 
@@ -160,22 +170,22 @@ def _dump_hook(out_dir: Path):
         s = curve.schedule
         u = curve.point_at(s.black_value)
         v = curve.point_at(s.red_value)
-        (out_dir / f"curve-{s.level:03d}.txt").write_text(dump_curve(curve, u, v))
+        _write(out_dir / f"curve-{s.level:03d}.txt", dump_curve(curve, u, v))
 
     return write
 
 
 def _write_artifacts(out_dir: Path, run_id: str, report: RunReport, render: bool):
     """The artifacts written after the run: the report and the final curve."""
-    (out_dir / "report.txt").write_text(format_report(report, run_id))
+    _write(out_dir / "report.txt", format_report(report, run_id))
     if report.final_curve is not None:
         last = report.records[-1] if report.records else None
         u = last.u if last else None
         v = last.v if last else None
-        (out_dir / "curve-final.txt").write_text(dump_curve(report.final_curve, u, v))
+        _write(out_dir / "curve-final.txt", dump_curve(report.final_curve, u, v))
         if render:
             for name, svg in render_views(report.final_curve).items():
-                (out_dir / f"final-{name}.svg").write_text(svg)
+                _write(out_dir / f"final-{name}.svg", svg)
 
 
 def cmd_mate(args) -> int:

@@ -5,9 +5,20 @@ exact fraction strings, positions are ``repr`` floats (so a round trip through
 the text reproduces every bit), and the point at infinity is the literal
 ``inf``.  Parse failures raise :class:`SerializationError` carrying the
 offending line number.
+
+The writer makes these bytes cheaply.  A parameter's text comes from its
+integer numerator over the curve's denominator, with no ``Angle`` built.  A
+curve is mostly symmetric under z -> -z, and the ``repr`` of -x is the
+``repr`` of x with its sign flipped; so a sample whose point is exactly the
+negative of its twin's, the sample half the curve before it, takes its
+twin's coordinate texts with their signs flipped instead of two fresh
+``repr`` calls.  The rule is per sample and exact, so broken symmetry costs
+only time.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .angles import ZERO, Angle
 from .combinatorics import Mark, MarkKind, Schedule, Side
@@ -30,8 +41,49 @@ def _fmt_record_point(z: SpherePoint) -> str:
     return "inf" if z is None else repr(z)
 
 
+def _flip(text: str) -> str:
+    """The ``repr`` of -x, given the ``repr`` of a float x."""
+    return text[1:] if text[0] == "-" else "-" + text
+
+
+def _sample_lines(c: DiscreteCurve) -> list[str]:
+    """Each sample's line: its parameter in lowest terms, then its position as
+    ``_fmt_point`` writes it.
+
+    On an even count, a point that is exactly the negative of its twin, the
+    point half the curve before it, takes the coordinate texts of its twin's
+    line with each sign flipped.  The comparison cannot see the sign of a
+    zero, so a point with a zero coordinate is formatted afresh, as is every
+    point of an odd count.  The twin's texts are read back from its line
+    rather than kept beside it, so the dump holds no more than its lines.
+    """
+    den, points = c.den, c.points
+    half = len(points) // 2 if len(points) % 2 == 0 else len(points)
+    lines = []
+    for p, z in zip(c.params[:half], points):
+        # gcd(0, den) == den: the anchor's parameter is written 0
+        t = "0" if (g := gcd(p, den)) == den else f"{p // g}/{den // g}"
+        lines.append(f"{t} inf" if z is None else f"{t} {z.real!r} {z.imag!r}")
+    for p, z, w, twin in zip(c.params[half:], points[half:], points, lines[:half]):
+        t = "0" if (g := gcd(p, den)) == den else f"{p // g}/{den // g}"
+        if z is None:
+            lines.append(f"{t} inf")
+        elif w is not None and z == -w and z.real and z.imag:
+            _, re, im = twin.split(" ")
+            lines.append(f"{t} {_flip(re)} {_flip(im)}")
+        else:
+            lines.append(f"{t} {z.real!r} {z.imag!r}")
+    return lines
+
+
 def dump_curve(c: DiscreteCurve, u: SpherePoint = None, v: SpherePoint = None) -> str:
-    """Serialize a curve (and the map parameters that produced it) to text."""
+    """Serialize a curve (and the map parameters that produced it) to text.
+
+    A parameter p/den is written in lowest terms, ``0`` at the anchor.  On an
+    even sample count, a point that is bitwise the negative of its twin's is
+    written as its twin's coordinate texts with each sign flipped, which is
+    exactly its ``repr`` text (see :func:`_sample_lines`).
+    """
     s = c.schedule
     lines = [
         _MAGIC,
@@ -49,8 +101,7 @@ def dump_curve(c: DiscreteCurve, u: SpherePoint = None, v: SpherePoint = None) -
         color = "-" if m.color is None else m.color.value
         lines.append(f"{m.parameter} {m.kind.value} {pid} {color}")
     lines.append(f"samples {len(c.params)}")
-    for k, z in enumerate(c.points):
-        lines.append(f"{c.param(k)} {_fmt_point(z)}")
+    lines += _sample_lines(c)
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -265,6 +265,22 @@ class TestMate:
         assert ran == []
         assert taken.read_text() == ""
 
+    @pytest.mark.parametrize("name", ["curve-001.txt", "report.txt"])
+    def test_unwritable_artifact_is_usage_error(self, tmp_path, capsys, name):
+        # a record's dump fails inside the run, the report after it; either
+        # way one line and no traceback
+        args = ["mate", "1/4", "1/8", "--iters", "2", "--dump", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        (run_dir,) = list(tmp_path.iterdir())
+        (run_dir / name).unlink()
+        (run_dir / name).mkdir()
+        capsys.readouterr()
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"quadmate: cannot write {run_dir / name}: ")
+
     def test_empty_env_var_dump_dir_is_unset(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QUADMATE_DUMP_DIR", "")
         monkeypatch.chdir(tmp_path)

@@ -1,10 +1,18 @@
 """Curve dump round-trips and parse diagnostics."""
 
+from dataclasses import replace
+
 import pytest
 
 from quadmate.angles import Angle
 from quadmate.combinatorics import base_schedule, pullback_schedule
-from quadmate.engine import init_embedding, iterate, pullback_curve, read_critical_values
+from quadmate.engine import (
+    IterateOptions,
+    init_embedding,
+    iterate,
+    pullback_curve,
+    read_critical_values,
+)
 from quadmate.errors import SerializationError
 from quadmate.ratmap import from_critical_values
 from quadmate.serialize import dump_curve, format_report, load_curve
@@ -21,6 +29,56 @@ def curve_with_infinity():
     return pullback_curve(c0, F, pullback_schedule(s0, A14, A18)), u, v
 
 
+def reference_fmt_point(z):
+    """``serialize._fmt_point``, the text of a position."""
+    if z is None:
+        return "inf"
+    return f"{z.real!r} {z.imag!r}"
+
+
+def reference_dump_curve(c, u=None, v=None):
+    """``serialize.dump_curve`` as it was written with an ``Angle`` and two
+    fresh ``repr`` calls a sample."""
+    s = c.schedule
+    lines = [
+        "quadmate-curve 1",
+        f"level {s.level}",
+        f"u {reference_fmt_point(u)}",
+        f"v {reference_fmt_point(v)}",
+        f"black-value {s.black_value}",
+        f"red-value {s.red_value}",
+    ]
+    for t, pid in s.base_points:
+        lines.append(f"base {t} {pid}")
+    lines.append(f"marks {len(s.marks)}")
+    for m in s.marks:
+        pid = "-" if m.point_id is None else str(m.point_id)
+        color = "-" if m.color is None else m.color.value
+        lines.append(f"{m.parameter} {m.kind.value} {pid} {color}")
+    lines.append(f"samples {len(c.params)}")
+    for k, z in enumerate(c.points):
+        lines.append(f"{c.param(k)} {reference_fmt_point(z)}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def _run_curves(alpha, beta, opts=IterateOptions()):
+    """Each record's curve of a run with its (u, v), then its final curve."""
+    curves = []
+    report = iterate(alpha, beta, opts, curve_hook=curves.append)
+    rec = report.records[-1]
+    return [(c, r.u, r.v) for c, r in zip(curves, report.records)] + [
+        (report.final_curve, rec.u, rec.v)
+    ]
+
+
+@pytest.fixture(scope="module")
+def worked_example_curves():
+    # the worked example at the default options, to its certified finish at
+    # record 25; record 24 is the Newton-polished curve
+    return _run_curves(A14, A18)
+
+
 class TestRoundTrip:
     def test_level_zero(self):
         c = init_embedding(base_schedule(A14, A18), 8)
@@ -31,16 +89,15 @@ class TestRoundTrip:
         assert back.schedule == c.schedule
         assert (back.params, back.den, back.points) == (c.params, c.den, c.points)
 
-    def test_hooked_curves_reload_field_for_field(self):
-        # every curve of the worked example's run at the default options, to
-        # its certified finish at record 25
-        curves = []
-        report = iterate(A14, A18, curve_hook=curves.append)
-        assert report.records[-1].n == 25
-        for c, rec in zip(curves, report.records):
-            back, u, v = load_curve(dump_curve(c, rec.u, rec.v))
+    def test_hooked_curves_reload_field_for_field(self, worked_example_curves):
+        # ``==`` cannot see the sign of a zero, so the bytes are compared too
+        assert worked_example_curves[-1][0].schedule.level == 25
+        for c, u, v in worked_example_curves:
+            text = dump_curve(c, u, v)
+            back, u2, v2 = load_curve(text)
             assert back == c
-            assert (u, v) == (rec.u, rec.v)
+            assert (u2, v2) == (u, v)
+            assert dump_curve(back, u2, v2) == text
 
     def test_bytes_stable_through_reload(self, curve_with_infinity):
         c, u, v = curve_with_infinity
@@ -59,6 +116,46 @@ class TestRoundTrip:
         back, _, _ = load_curve(dump_curve(c, u, v))
         assert back.marks == c.marks
         assert back.schedule.marks == c.schedule.marks
+
+
+class TestDumpBytes:
+    """``dump_curve`` writes the bytes of ``reference_dump_curve``."""
+
+    def test_worked_example_run(self, worked_example_curves):
+        assert [c.schedule.level for c, _, _ in worked_example_curves] == [*range(26), 25]
+        for c, u, v in worked_example_curves:
+            assert dump_curve(c, u, v) == reference_dump_curve(c, u, v)
+
+    @pytest.mark.parametrize("alpha, beta", [((1, 10), (19, 20)), ((9, 10), (9, 10))])
+    def test_diverging_runs(self, alpha, beta):
+        # both runs break a lap before they diverge, (1/10, 19/20) in its
+        # final curve and (9/10, 9/10) at level 18, so not every sample of
+        # the second half is its twin's negative
+        run = _run_curves(Angle(*alpha), Angle(*beta), IterateOptions(max_iters=20))
+        for c, u, v in run:
+            assert dump_curve(c, u, v) == reference_dump_curve(c, u, v)
+
+    def test_curve_with_infinity(self, curve_with_infinity):
+        c, u, v = curve_with_infinity
+        assert dump_curve(c, u, v) == reference_dump_curve(c, u, v)
+
+    def test_odd_sample_count(self):
+        c = init_embedding(base_schedule(A14, A18), 8)
+        assert len(c.params) % 2 == 1
+        assert dump_curve(c, 1j, -1j) == reference_dump_curve(c, 1j, -1j)
+
+    def test_twins_differing_in_the_sign_of_a_zero(self):
+        # each point of the second half equals its twin's negative under
+        # ``==`` but carries a +0.0 where the negative has -0.0
+        c = init_embedding(base_schedule(A14, A18), 2)
+        half = len(c.params) // 2
+        first = [complex(k + 1, 0.0) if k % 2 else complex(0.0, k + 1) for k in range(half)]
+        second = [complex(-z.real, 0.0) if z.real else complex(0.0, -z.imag) for z in first]
+        c = replace(c, points=tuple(first + second))
+        assert all(z == -w for z, w in zip(second, first))
+        text = dump_curve(c, 1j, -1j)
+        assert text == reference_dump_curve(c, 1j, -1j)
+        assert "-0.0" not in text[text.index("\nsamples "):]
 
 
 class TestParseErrors:
