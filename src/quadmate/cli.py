@@ -27,9 +27,12 @@ from .combinatorics import (
     pullback_schedule,
 )
 from .engine import (
+    _PARABOLIC_POINTS,
+    _PARABOLIC_WARNING,
     DiscreteCurve,
     IterateOptions,
     RunReport,
+    _class_text,
     iterate,
 )
 from .errors import AngleError, QuadmateError, StructuralError
@@ -94,17 +97,13 @@ def cmd_check(args) -> int:
     jordan = defect is None
     print(f"is_jordan: {_yes(jordan)}")
     if not jordan:
-        names = ", ".join(str(sa) for sa in sorted(defect, key=lambda x: x.sort_key()))
-        print(f"pinching class: {{{names}}}")
+        print(f"pinching class: {_class_text(defect)}")
     valid = fsr_valid(alpha, beta)
     print(f"fsr_valid: {_yes(valid)}")
     count = postcritical_count(alpha, beta)
     print(f"postcritical points: {count}")
-    if count <= 4:
-        print(
-            "warning: postcritical set has at most 4 points, the orbifold may "
-            "be parabolic and convergence is not guaranteed"
-        )
+    if count <= _PARABOLIC_POINTS:
+        print(f"warning: {_PARABOLIC_WARNING}")
     try:
         base_schedule(alpha, beta)
     except StructuralError as exc:
@@ -128,7 +127,7 @@ def cmd_schedule(args) -> int:
                 f"for ({alpha}, {beta}), which have {len(s.marks)} at level 0"
             )
         for _ in range(args.level):
-            s = pullback_schedule(s, alpha, beta)
+            s = pullback_schedule(s)
     except StructuralError as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

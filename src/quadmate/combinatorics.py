@@ -321,16 +321,16 @@ def base_schedule(alpha: Angle, beta: Angle) -> Schedule:
     )
 
 
-def pullback_schedule(s: Schedule, alpha: Angle, beta: Angle) -> Schedule:
+def pullback_schedule(s: Schedule) -> Schedule:
     """The level n+1 schedule: both halves of every level-n parameter.
 
-    Halves of the two critical-value parameters become critical-point marks
-    (each pair names one point, 0 or infinity); parameters that coincide with
-    level-0 postcritical parameters keep their identity; the rest is plumbing.
+    Halves of ``s.black_value`` and ``s.red_value`` become critical-point
+    marks (each pair names one point, 0 or infinity); parameters that coincide
+    with level-0 postcritical parameters keep their identity; the rest is plumbing.
     """
     base = dict(s.base_points)
-    crit_black = frozenset(alpha.halves())
-    crit_red = frozenset(beta.mirror().halves())
+    crit_black = frozenset(s.black_value.halves())
+    crit_red = frozenset(s.red_value.halves())
     marks = []
     for m in s.marks:
         for t in m.parameter.halves():

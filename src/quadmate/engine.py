@@ -97,6 +97,11 @@ _ISOTOPY_RATIO = 0.5
 _FINISH_FALLS = 7
 _FINISH_STALE = 3
 
+# iterate and ``quadmate check`` warn of a postcritical set this small
+_PARABOLIC_POINTS = 4
+_PARABOLIC_WARNING = (f"postcritical set has at most {_PARABOLIC_POINTS} points: "
+                      "orbifold may be parabolic, convergence is not guaranteed")
+
 
 @dataclass(frozen=True, slots=True)
 class DiscreteCurve:
@@ -857,6 +862,11 @@ def _collision(embedded: dict[int, SpherePoint]) -> tuple[int, int] | None:
     return None
 
 
+def _class_text(defect) -> str:
+    """A pinching class as the gates name it: its members in order, braced."""
+    return "{" + ", ".join(str(sa) for sa in sorted(defect, key=lambda x: x.sort_key())) + "}"
+
+
 def structural_gates(alpha: Angle, beta: Angle) -> str | None:
     """The failure reason of the first failed gate, or None when all pass."""
     if not alpha.is_preperiodic() or not beta.is_preperiodic():
@@ -866,38 +876,29 @@ def structural_gates(alpha: Angle, beta: Angle) -> str | None:
         return f"conjugate limbs: {alpha} lies in limb {la}, {beta} in limb {lb}"
     defect = jordan_defect(alpha, beta)
     if defect is not None:
-        names = ", ".join(str(sa) for sa in sorted(defect, key=lambda x: x.sort_key()))
-        return f"pinched curve: identification class {{{names}}} joins distinct curve points"
+        return f"pinched curve: identification class {_class_text(defect)} joins distinct curve points"
     if not fsr_valid(alpha, beta):
         return "subdivision failure: an identification appears one level too late"
     return None
 
 
-def _pullback(
-    curve: DiscreteCurve,
-    u: SpherePoint,
-    v: SpherePoint,
-    alpha: Angle,
-    beta: Angle,
-    s0: Schedule,
-    opts: IterateOptions,
-) -> tuple[DiscreteCurve, int]:
-    """Lift ``curve`` through F_{u,v}, prune and rebase it.
+def _pullback(curve: DiscreteCurve, budget: int) -> tuple[DiscreteCurve, int]:
+    """Lift ``curve`` through the map of its critical values; prune, rebase.
 
-    Also returns the sample count of the lifted curve before the prune.
-    A map that fails its normalization self-check is a numeric failure: the
-    gates accepted the pair, and ``read_critical_values`` has already ruled
-    out colliding critical values.
+    ``curve`` carries the level-0 marks at its level, as every curve of
+    :func:`iterate` does, so it fixes F_{u,v} and the level n+1 schedule.
+    Also returns the lifted curve's sample count before the prune.  A map
+    that fails its normalization self-check is a numeric failure.
     """
+    u, v = read_critical_values(curve)
     try:
         F = from_critical_values(u, v)
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
-    s_next = pullback_schedule(curve.schedule, alpha, beta)
-    lifted = pullback_curve(curve, F, s_next)
+    lifted = pullback_curve(curve, F, pullback_schedule(curve.schedule))
     before = len(lifted.params)
-    lifted = prune(lifted, opts.budget, _PRUNE_TOL)
-    return _rebase(lifted, s0), before
+    lifted = prune(lifted, budget, _PRUNE_TOL)
+    return _rebase(lifted, curve.schedule), before
 
 
 def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), curve_hook=None) -> RunReport:
@@ -934,11 +935,8 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
         report.status = "structural-error"
         report.message = reason
         return report
-    if postcritical_count(alpha, beta) <= 4:
-        report.warnings.append(
-            "postcritical set has at most 4 points: orbifold may be parabolic, "
-            "convergence is not guaranteed"
-        )
+    if postcritical_count(alpha, beta) <= _PARABOLIC_POINTS:
+        report.warnings.append(_PARABOLIC_WARNING)
 
     try:
         s0 = base_schedule(alpha, beta)
@@ -967,15 +965,15 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
                 and opts.tol > 0
                 and n + 2 <= opts.max_iters
             ):
-                # imported on first use: a run that stops before the finish
-                # does not pay for compiling it
+                # newton imports this module, so a top-level import would be
+                # circular
                 from .newton import finish
 
                 falls = 0
-                steps = finish(curve, alpha, beta, s0, opts)
+                steps = finish(curve, opts)
             if steps is None:
                 n += 1
-                curve, before = _pullback(curve, u, v, alpha, beta, s0, opts)
+                curve, before = _pullback(curve, opts.budget)
                 u1, v1 = read_critical_values(curve)
                 collided = _collision(relabel(curve))
                 if collided is not None:

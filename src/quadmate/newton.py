@@ -123,13 +123,14 @@ def solve_relations(s0: Schedule, embedded: dict[Angle, SpherePoint]) -> dict[An
     return dict(zip(free, x))
 
 
-def _polish(curve: DiscreteCurve, s0: Schedule) -> dict[Angle, complex] | None:
+def _polish(curve: DiscreteCurve) -> dict[Angle, complex] | None:
     """The Newton solution near the curve's embedding, or None when refused.
 
     Refused unless the relation residual (the largest chordal distance
     between F(p_t) and p_{2t}) is below ``_NEWTON_RESIDUAL``, no postcritical
     point moves more than ``_NEWTON_MOVE`` and no two of them collide.
     """
+    s0 = curve.schedule
     before = {t: curve.point_at(t) for t, _ in s0.base_points}
     solved = solve_relations(s0, before)
     if solved is None:
@@ -149,24 +150,20 @@ def _polish(curve: DiscreteCurve, s0: Schedule) -> dict[Angle, complex] | None:
 
 
 def finish(
-    curve: DiscreteCurve,
-    alpha: Angle,
-    beta: Angle,
-    s0: Schedule,
-    opts: IterateOptions,
+    curve: DiscreteCurve, opts: IterateOptions
 ) -> list[tuple[IterationRecord, DiscreteCurve]] | None:
     """The records n+1 and n+2 of an accepted Newton finish, with their curves.
 
-    ``curve`` is the level-n curve, that of record n.  Its postcritical
-    samples move onto the Newton solution of the critical-orbit relations
-    (record n+1, phase ``"newton"``); one pullback through the polished map
-    (record n+2, phase ``"confirm"``) must then leave every postcritical
-    point within ``opts.tol`` of where the solution put it, which certifies
-    that the solution is the fixed point of this curve's isotopy class.  None
-    when the finish is refused; a failure of the confirming pullback is a
-    refusal, not an error.
+    ``curve`` is the level-n curve of record n, whose schedule gives the
+    relations.  Its postcritical samples move onto the Newton solution of
+    the critical-orbit relations (record n+1, phase ``"newton"``); one
+    pullback through the polished map (record n+2, phase ``"confirm"``) must
+    then leave every postcritical point within ``opts.tol`` of where the
+    solution put it, which certifies that the solution is the fixed point of
+    this curve's isotopy class.  None when the finish is refused; a failure
+    of the confirming pullback is a refusal, not an error.
     """
-    target = _polish(curve, s0)
+    target = _polish(curve)
     if target is None:
         return None
     level = curve.schedule.level + 1
@@ -177,7 +174,7 @@ def finish(
     u, v = read_critical_values(curve)
     try:
         pu, pv = read_critical_values(polished)
-        confirmed, before = _pullback(polished, pu, pv, alpha, beta, s0, opts)
+        confirmed, before = _pullback(polished, opts.budget)
         cu, cv = read_critical_values(confirmed)
     except (NumericError, StructuralError):
         return None

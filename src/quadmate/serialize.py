@@ -18,7 +18,7 @@ only time.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isfinite
 
 from .angles import ZERO, Angle
 from .combinatorics import Mark, MarkKind, Schedule, Side
@@ -77,9 +77,11 @@ def _sample_lines(c: DiscreteCurve) -> list[str]:
 
 
 def dump_curve(c: DiscreteCurve, u: SpherePoint = None, v: SpherePoint = None) -> str:
-    """Serialize a curve (and the map parameters that produced it) to text.
+    """Serialize a curve and map parameters (u, v) to text.
 
-    A parameter p/den is written in lowest terms, ``0`` at the anchor.  On an
+    ``mate`` dumps give the curve's own critical values, its record's (u, v):
+    the map that lifts the curve next, not the one that produced it.  A
+    parameter p/den is written in lowest terms, ``0`` at the anchor.  On an
     even sample count, a point that is bitwise the negative of its twin's is
     written as its twin's coordinate texts with each sign flipped, which is
     exactly its ``repr`` text (see :func:`_sample_lines`).
@@ -144,9 +146,12 @@ def _parse_point(parts: list[str], line: int) -> SpherePoint:
             f"position must be 're im' or 'inf', got {' '.join(parts)!r}", line
         )
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        re, im = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise SerializationError(f"bad position component: {exc}", line) from exc
+    if not (isfinite(re) and isfinite(im)):  # the writer gives infinity as inf
+        raise SerializationError(f"position {' '.join(parts)!r} is not finite", line)
+    return complex(re, im)
 
 
 def _parse_int(text: str, what: str, line: int) -> int:
@@ -167,7 +172,7 @@ def _keyed(r: _Reader, key: str) -> tuple[int, list[str]]:
 
 
 def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
-    """Parse a curve dump back into a curve and its (u, v) map parameters."""
+    """Parse a curve dump into a curve and the (u, v) it was written with."""
     r = _Reader(text)
     if r.peek() is None:
         raise SerializationError("empty dump", 1)

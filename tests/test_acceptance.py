@@ -71,7 +71,7 @@ class TestCriterion2ExampleTwoFirstIteration:
 
 class TestCriterion3ExampleTwoOrderings:
     def test_level_one_schedule(self):
-        s1 = pullback_schedule(base_schedule(A14, A18), A14, A18)
+        s1 = pullback_schedule(base_schedule(A14, A18))
         assert [str(m.parameter) for m in s1.marks] == [
             "0", "1/8", "1/4", "3/8", "7/16", "1/2", "5/8", "3/4", "7/8", "15/16",
         ]
@@ -86,7 +86,7 @@ class TestCriterion3ExampleTwoOrderings:
         s0 = base_schedule(A14, A18)
         c0 = init_embedding(s0, 64)
         u, v = read_critical_values(c0)
-        c1 = pullback_curve(c0, from_critical_values(u, v), pullback_schedule(s0, A14, A18))
+        c1 = pullback_curve(c0, from_critical_values(u, v), pullback_schedule(s0))
         # traversal from the first critical passage, wrapping to the anchor
         expected = [
             0.0 + 0.0j, 0.643594j, 1.18921j, None, -1.0 + 0.0j,
@@ -177,7 +177,7 @@ class TestCriterion7InvariantSuites:
         c0 = init_embedding(s0, 48)
         u, v = read_critical_values(c0)
         F = from_critical_values(u, v)
-        c1 = pullback_curve(c0, F, pullback_schedule(s0, A14, A18))
+        c1 = pullback_curve(c0, F, pullback_schedule(s0))
 
         # lift fidelity: every lifted sample maps back onto its parent sample
         parent = {c0.param(k): z for k, z in enumerate(c0.points)}

@@ -154,7 +154,7 @@ class TestBaseSchedule:
 
 class TestPullbackSchedule:
     def test_level_one_golden(self):
-        s1 = pullback_schedule(base_schedule(A14, A18), A14, A18)
+        s1 = pullback_schedule(base_schedule(A14, A18))
         table = [(str(m.parameter), m.kind) for m in s1.marks]
         assert table == [
             ("0", MarkKind.POSTCRITICAL),
@@ -177,20 +177,20 @@ class TestPullbackSchedule:
     def test_doubles_mark_count_each_level(self):
         s = base_schedule(A14, A18)
         for _ in range(4):
-            s_next = pullback_schedule(s, A14, A18)
+            s_next = pullback_schedule(s)
             assert len(s_next.marks) == 2 * len(s.marks)
             assert s_next.level == s.level + 1
             s = s_next
 
     def test_parameters_halve(self):
         s0 = base_schedule(A14, A18)
-        s1 = pullback_schedule(s0, A14, A18)
+        s1 = pullback_schedule(s0)
         doubled = {m.parameter.double() for m in s1.marks}
         assert doubled == {m.parameter for m in s0.marks}
 
     def test_base_parameters_keep_their_ids(self):
         s0 = base_schedule(A14, A18)
-        s1 = pullback_schedule(s0, A14, A18)
+        s1 = pullback_schedule(s0)
         base = dict(s0.base_points)
         for m in s1.marks:
             if m.parameter in base:

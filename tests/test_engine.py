@@ -532,7 +532,7 @@ def ex2_level1():
     c0 = init_embedding(s0, 64)
     u, v = read_critical_values(c0)
     F = from_critical_values(u, v)
-    s1 = pullback_schedule(s0, A14, A18)
+    s1 = pullback_schedule(s0)
     return c0, F, pullback_curve(c0, F, s1)
 
 
@@ -676,7 +676,7 @@ class TestPullbackCurve:
         c0 = init_embedding(s0, 64)
         u, v = read_critical_values(c0)
         F = from_critical_values(u, v)
-        c1 = pullback_curve(c0, F, pullback_schedule(s0, A14, A14))
+        c1 = pullback_curve(c0, F, pullback_schedule(s0))
         marked = [c1.points[i] for i in c1.marks]
         at_zero = sum(1 for z in marked if z is not None and abs(z) < 1e-9)
         at_inf = sum(1 for z in marked if z is None)
@@ -706,7 +706,7 @@ class TestParameterArithmetic:
     def test_child_parameters_ascend(self, ex2_level1):
         _, _, c1 = ex2_level1
         u, v = read_critical_values(c1)
-        s2 = pullback_schedule(c1.schedule, A14, A18)
+        s2 = pullback_schedule(c1.schedule)
         c2 = pullback_curve(c1, from_critical_values(u, v), s2)
         for c in (c1, c2):
             params = c.params
@@ -944,7 +944,7 @@ class TestBranchFailureContext:
             return [(t, None if p is None else p * 1j) for t, p in lift_arc(F, entries)]
 
         monkeypatch.setattr(engine, "_lift_arc", turned)
-        s1 = pullback_schedule(c0.schedule, A14, A18)
+        s1 = pullback_schedule(c0.schedule)
         with pytest.raises(BranchTrackingError, match="fails to close") as info:
             pullback_curve(c0, F, s1)
         last = len(s1.marks) - 1

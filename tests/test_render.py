@@ -78,7 +78,7 @@ class TestRenderSphere:
         s0 = base_schedule(A14, A18)
         c0 = init_embedding(s0, 16)
         u, v = read_critical_values(c0)
-        c1 = pullback_curve(c0, from_critical_values(u, v), pullback_schedule(s0, A14, A18))
+        c1 = pullback_curve(c0, from_critical_values(u, v), pullback_schedule(s0))
         svg = render_sphere(c1, DEFAULT_VIEWS["poles-front"])
         # south pole projects to the bottom of the outline circle
         assert "210.0000,400.0000" in svg

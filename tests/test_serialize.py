@@ -1,6 +1,6 @@
 """Curve dump round-trips and parse diagnostics."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -8,12 +8,14 @@ from quadmate.angles import Angle
 from quadmate.combinatorics import base_schedule, pullback_schedule
 from quadmate.engine import (
     IterateOptions,
+    _pullback,
     init_embedding,
     iterate,
     pullback_curve,
     read_critical_values,
 )
 from quadmate.errors import SerializationError
+from quadmate.newton import finish
 from quadmate.ratmap import from_critical_values
 from quadmate.serialize import dump_curve, format_report, load_curve
 
@@ -26,7 +28,7 @@ def curve_with_infinity():
     c0 = init_embedding(s0, 8)
     u, v = read_critical_values(c0)
     F = from_critical_values(u, v)
-    return pullback_curve(c0, F, pullback_schedule(s0, A14, A18)), u, v
+    return pullback_curve(c0, F, pullback_schedule(s0)), u, v
 
 
 def reference_fmt_point(z):
@@ -62,21 +64,41 @@ def reference_dump_curve(c, u=None, v=None):
     return "\n".join(lines) + "\n"
 
 
-def _run_curves(alpha, beta, opts=IterateOptions()):
-    """Each record's curve of a run with its (u, v), then its final curve."""
+def _run(alpha, beta, opts=IterateOptions()):
+    """A run's report and the curve of each of its records."""
     curves = []
-    report = iterate(alpha, beta, opts, curve_hook=curves.append)
+    return iterate(alpha, beta, opts, curve_hook=curves.append), curves
+
+
+def _run_curves(report, curves):
+    """Each record's curve of a run with its (u, v), then its final curve."""
     rec = report.records[-1]
     return [(c, r.u, r.v) for c, r in zip(curves, report.records)] + [
         (report.final_curve, rec.u, rec.v)
     ]
 
 
+def _bits(x):
+    """``x`` with each float as its ``float.hex``, which sees the sign of a zero."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    return x
+
+
 @pytest.fixture(scope="module")
-def worked_example_curves():
+def worked_example_run():
     # the worked example at the default options, to its certified finish at
     # record 25; record 24 is the Newton-polished curve
-    return _run_curves(A14, A18)
+    return _run(A14, A18)
+
+
+@pytest.fixture(scope="module")
+def worked_example_curves(worked_example_run):
+    return _run_curves(*worked_example_run)
 
 
 class TestRoundTrip:
@@ -118,6 +140,33 @@ class TestRoundTrip:
         assert back.schedule.marks == c.schedule.marks
 
 
+class TestReloadedRun:
+    """A reloaded dump is all that the next step of the run needs."""
+
+    def test_pullback_of_each_reloaded_curve_is_the_next_curve(self, worked_example_run):
+        report, curves = worked_example_run
+        assert [r.n for r in report.records] == [*range(26)]
+        pullbacks = [r for r in report.records[1:] if r.phase == "pullback"]
+        assert [r.n for r in pullbacks] == [*range(1, 24)]
+        for rec in pullbacks:
+            loaded, _, _ = load_curve(dump_curve(curves[rec.n - 1]))
+            got, before = _pullback(loaded, IterateOptions().budget)
+            assert got == curves[rec.n]
+            assert _bits(got.points) == _bits(curves[rec.n].points)
+            assert before == rec.samples_before
+
+    def test_finish_from_the_reloaded_curve_ends_the_run(self, worked_example_run):
+        report, curves = worked_example_run
+        assert [r.phase for r in report.records[24:]] == ["newton", "confirm"]
+        loaded, _, _ = load_curve(dump_curve(curves[23]))
+        steps = finish(loaded, IterateOptions())
+        assert steps is not None and len(steps) == 2
+        for (rec, c), want, want_c in zip(steps, report.records[24:], curves[24:]):
+            assert _bits(astuple(rec)) == _bits(astuple(want))
+            assert c == want_c
+            assert _bits(c.points) == _bits(want_c.points)
+
+
 class TestDumpBytes:
     """``dump_curve`` writes the bytes of ``reference_dump_curve``."""
 
@@ -131,7 +180,7 @@ class TestDumpBytes:
         # both runs break a lap before they diverge, (1/10, 19/20) in its
         # final curve and (9/10, 9/10) at level 18, so not every sample of
         # the second half is its twin's negative
-        run = _run_curves(Angle(*alpha), Angle(*beta), IterateOptions(max_iters=20))
+        run = _run_curves(*_run(Angle(*alpha), Angle(*beta), IterateOptions(max_iters=20)))
         for c, u, v in run:
             assert dump_curve(c, u, v) == reference_dump_curve(c, u, v)
 
@@ -208,6 +257,25 @@ class TestParseErrors:
         lines[start + 1] = f"{param} spam eggs extra"
         with pytest.raises(SerializationError, match="position"):
             load_curve("\n".join(lines))
+
+    @pytest.mark.parametrize("position", ["nan 0.0", "1e999 2", "0.5 -inf"])
+    def test_non_finite_sample_rejected(self, position):
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c, 1j, -1j).splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("samples ")) + 2
+        lines[at] = f"{lines[at].split()[0]} {position}"
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: position {position!r} is not finite"
+
+    def test_non_finite_map_parameter_rejected(self):
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c, 1j, -1j).splitlines()
+        at = lines.index("u 0.0 1.0")
+        lines[at] = "u nan nan"
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: position 'nan nan' is not finite"
 
     def test_out_of_order_samples_rejected(self):
         c = init_embedding(base_schedule(A14, A18), 2)
