@@ -175,16 +175,12 @@ def _dump_hook(out_dir: Path):
 
 
 def _write_artifacts(out_dir: Path, run_id: str, report: RunReport, render: bool):
-    """The artifacts written after the run: the report and the final curve."""
+    """The artifacts written after the run: the report and the final curve's
+    figures; the final curve's dump is its record's, written by the hook."""
     _write(out_dir / "report.txt", format_report(report, run_id))
-    if report.final_curve is not None:
-        last = report.records[-1] if report.records else None
-        u = last.u if last else None
-        v = last.v if last else None
-        _write(out_dir / "curve-final.txt", dump_curve(report.final_curve, u, v))
-        if render:
-            for name, svg in render_views(report.final_curve).items():
-                _write(out_dir / f"final-{name}.svg", svg)
+    if render and report.final_curve is not None:
+        for name, svg in render_views(report.final_curve).items():
+            _write(out_dir / f"final-{name}.svg", svg)
 
 
 def cmd_mate(args) -> int:

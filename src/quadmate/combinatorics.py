@@ -2,13 +2,12 @@
 
 Two filled Julia sets are glued along opposing external angles: the black
 angle t meets the red angle 1 - t, and the glued ray carries curve parameter
-t.  Closing this gluing under co-landing within each polynomial yields the
-ray-equivalence classes: the components over gluing and co-landing classes,
-built in one pass, where two rays of one polynomial land at the same point
-exactly when they share a (cached) co-landing class.  The classes that
-survive the essential-mating collapse decide whether the candidate
-pseudo-equator stays a Jordan curve and whether the induced subdivision
-structure is finite.
+t.  So a ray-equivalence class is a set of curve parameters, closed under
+co-landing of the black rays (for alpha) and of the red rays (for 1 - beta,
+by conjugation), built in one pass from the cached co-landing classes.  The
+classes that survive the essential-mating collapse decide whether the
+candidate pseudo-equator stays a Jordan curve and whether the induced
+subdivision structure is finite.
 
 The second half of the module turns the same data into mark schedules: the
 level-0 schedule lists the postcritical parameters on the initial curve, and
@@ -35,9 +34,6 @@ class Side(Enum):
     BLACK = "black"
     RED = "red"
 
-    def other(self) -> "Side":
-        return Side.RED if self is Side.BLACK else Side.BLACK
-
 
 @dataclass(frozen=True)
 class SideAngle:
@@ -45,17 +41,6 @@ class SideAngle:
 
     side: Side
     angle: Angle
-
-    def param(self) -> Angle:
-        """Curve parameter of the glued ray: t for black t, 1 - s for red s."""
-        return self.angle if self.side is Side.BLACK else self.angle.mirror()
-
-    def glue_partner(self) -> "SideAngle":
-        """The opposing-sphere angle glued to this one by the formal mating."""
-        return SideAngle(self.side.other(), self.angle.mirror())
-
-    def double(self) -> "SideAngle":
-        return SideAngle(self.side, self.angle.double())
 
     def sort_key(self):
         return (self.side.value, self.angle)
@@ -65,92 +50,86 @@ class SideAngle:
 
 
 class _RaySystem:
-    """Ray-equivalence classes over the tracked angle set of one mating.
+    """Ray-equivalence classes of one mating, as sets of curve parameters.
+
+    The glued rays black t and red 1 - t share the parameter t, so a class
+    never separates them and is a set of parameters.  Conjugation takes the
+    red ray at 1 - t to the ray at t of the polynomial with angle 1 - beta,
+    so the parameters whose red rays land together form a co-landing class
+    of ``beta.mirror()``, as those of the black rays form one of ``alpha``:
+    ``thetas`` holds the two, black first.  Doubling takes both rays at t to
+    rays at 2t, so the image of a class is the class of 2t.
 
     Tracked set: both critical orbits and critical-point halves, closed under
-    gluing, doubling and same-side co-landing.  Classes are the connected
-    components under gluing plus co-landing, built in one worklist pass: each
-    class is the component of an untracked angle, reached through glue
-    partners and whole co-landing classes, and the doubles of its members
-    seed the next.  The cached co-landing class is the one definition of
-    "same landing point" (:meth:`same_point`, :meth:`point_groups`).
+    doubling and co-landing on either side.  Classes are the connected
+    components under co-landing on both sides, built in one worklist pass:
+    each class is the component of an untracked parameter, whose black
+    co-landing class is walked first, each parameter it adds then walked on
+    the other side, and the doubles of its members seed the next.
     """
 
     def __init__(self, alpha: Angle, beta: Angle):
         self.alpha = alpha
         self.beta = beta
-        self._theta = {Side.BLACK: alpha, Side.RED: beta}
-        self._postcritical = {
-            Side.BLACK: frozenset(alpha.orbit_info().distinct),
-            Side.RED: frozenset(beta.orbit_info().distinct),
-        }
-        self._critical = {
-            s: self._postcritical[s] | set(self._theta[s].halves()) for s in Side
-        }
+        self.thetas = (alpha, beta.mirror())
+        self._postcritical = tuple(frozenset(th.orbit_info().distinct) for th in self.thetas)
+        self._critical = frozenset().union(
+            *self._postcritical, *(th.halves() for th in self.thetas)
+        )
         self._build()
 
-    def _coland(self, sa: SideAngle) -> frozenset[Angle]:
-        return colanding_class(self._theta[sa.side], sa.angle)
-
     def _build(self):
-        pending = [SideAngle(s, a) for s in Side for a in sorted(self._critical[s])]
-        tracked: set[SideAngle] = set()
-        classes: list[frozenset[SideAngle]] = []
+        pending = sorted(self._critical)
+        tracked: set[Angle] = set()
+        classes: list[frozenset[Angle]] = []
         while pending:
             seed = pending.pop()
             if seed in tracked:
                 continue
-            block, frontier = [], [seed]
+            block, frontier, side = [], [seed], 0
             while frontier:
-                x = frontier.pop()
-                if x in tracked:
-                    continue
-                for a in self._coland(x):
-                    y = SideAngle(x.side, a)
-                    tracked.add(y)
-                    if len(tracked) > _TRACKED_CAP:
-                        raise StructuralError(
-                            "ray closure overflow",
-                            f"more than {_TRACKED_CAP} tracked angles for ({self.alpha}, {self.beta})",
-                        )
-                    block.append(y)
-                    frontier.append(y.glue_partner())
+                theta, reached = self.thetas[side], []
+                for t in frontier:
+                    for a in colanding_class(theta, t):
+                        if a in tracked:
+                            continue
+                        tracked.add(a)
+                        if 2 * len(tracked) > _TRACKED_CAP:  # two rays per parameter
+                            raise StructuralError(
+                                "ray closure overflow",
+                                f"more than {_TRACKED_CAP} tracked angles for ({self.alpha}, {self.beta})",
+                            )
+                        reached.append(a)
+                block += reached
+                frontier, side = reached, 1 - side
             classes.append(frozenset(block))
-            pending.extend(y.double() for y in block)
+            pending.extend(t.double() for t in block)
         self.tracked = tracked
-        classes.sort(key=lambda b: min(b, key=SideAngle.sort_key).sort_key())
-        self.classes: tuple[frozenset[SideAngle], ...] = tuple(classes)
-        self.index = {sa: i for i, c in enumerate(self.classes) for sa in c}
+        classes.sort(key=min)
+        self.classes: tuple[frozenset[Angle], ...] = tuple(classes)
+        self.index = {t: i for i, c in enumerate(self.classes) for t in c}
 
         self.image = tuple(self._image_of(c) for c in self.classes)
         self._l_flags = tuple(self._is_l(c) for c in self.classes)
         self.essential = tuple(self._is_essential(i) for i in range(len(self.classes)))
 
-    def _image_of(self, cls: frozenset[SideAngle]) -> int:
-        targets = {self.index[sa.double()] for sa in cls}
+    def _image_of(self, cls: frozenset[Angle]) -> int:
+        targets = {self.index[t.double()] for t in cls}
         if len(targets) != 1:
             raise AssertionError("doubling split a ray class")
         return targets.pop()
 
-    def is_postcritical(self, sa: SideAngle) -> bool:
-        return sa.angle in self._postcritical[sa.side]
+    def points(self, side: int, params) -> set[frozenset[Angle]]:
+        """The landing points of the rays at ``params`` on one side (0 black,
+        1 red): their co-landing classes."""
+        theta = self.thetas[side]
+        return {colanding_class(theta, t) for t in params}
 
-    def same_point(self, x: SideAngle, y: SideAngle) -> bool:
-        """Same landing point of the same polynomial (pre-collapse identity)."""
-        return x.side is y.side and y.angle in self._coland(x)
-
-    def point_groups(self, cls: frozenset[SideAngle]) -> list[frozenset[SideAngle]]:
-        """Members of ``cls`` bucketed by landing point, in order of first member."""
-        groups: dict[tuple[Side, frozenset[Angle]], set[SideAngle]] = {}
-        for sa in sorted(cls, key=SideAngle.sort_key):
-            groups.setdefault((sa.side, self._coland(sa)), set()).add(sa)
-        return [frozenset(g) for g in groups.values()]
-
-    def _is_l(self, cls: frozenset[SideAngle]) -> bool:
+    def _is_l(self, cls: frozenset[Angle]) -> bool:
         # a landing class in the sense that matters: two or more distinct
         # postcritical points joined by one ray graph
         count = sum(
-            1 for g in self.point_groups(cls) if any(self.is_postcritical(sa) for sa in g)
+            len(self.points(side, cls & post)) for side, post in enumerate(self._postcritical)
         )
         return count >= 2
 
@@ -160,7 +139,7 @@ class _RaySystem:
         The class must touch a critical orbit and some forward iterate must be
         a multi-postcritical-point class.
         """
-        if not any(sa.angle in self._critical[sa.side] for sa in self.classes[i]):
+        if self._critical.isdisjoint(self.classes[i]):
             return False
         j = self.image[i]
         seen = set()
@@ -184,15 +163,17 @@ def jordan_defect(alpha: Angle, beta: Angle) -> frozenset[SideAngle] | None:
 
     A collapsed class whose postcritical members sit at two or more distinct
     curve parameters glues distinct points of the curve together, so the image
-    after the collapse is no longer a Jordan curve.
+    after the collapse is no longer a Jordan curve.  The class is returned as
+    its rays: black t and red 1 - t for each parameter t.
     """
     sys = _ray_system(alpha, beta)
+    postcritical = _base_params(alpha, beta)
     for i, cls in enumerate(sys.classes):
-        if not sys.essential[i]:
-            continue
-        params = {sa.param() for sa in cls if sys.is_postcritical(sa)}
-        if len(params) >= 2:
-            return cls
+        if sys.essential[i] and len(cls & postcritical) >= 2:
+            return frozenset(
+                ray for t in cls
+                for ray in (SideAngle(Side.BLACK, t), SideAngle(Side.RED, t.mirror()))
+            )
     return None
 
 
@@ -207,22 +188,20 @@ def fsr_valid(alpha: Angle, beta: Angle) -> bool:
     Fails exactly when some non-collapsed ray class holds two distinct points
     whose images become identified: such a pair forces an identification at
     one level that the previous level refuses, so no finite subdivision
-    structure exists.
+    structure exists.  Every class holds a point on each side, so that is
+    any non-collapsed class with a collapsed image, or two points on one side
+    with one image point.
     """
     sys = _ray_system(alpha, beta)
     for i, cls in enumerate(sys.classes):
         if sys.essential[i]:
             continue
-        groups = sys.point_groups(cls)
-        if len(groups) < 2:
-            continue
         if sys.essential[sys.image[i]]:
             return False
-        reps = [next(iter(g)) for g in groups]
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                if sys.same_point(reps[a].double(), reps[b].double()):
-                    return False
+        for side in (0, 1):
+            points = sys.points(side, cls)
+            if len(sys.points(side, (next(iter(p)).double() for p in points))) < len(points):
+                return False
     return True
 
 
@@ -301,7 +280,7 @@ def base_schedule(alpha: Angle, beta: Angle) -> Schedule:
             f"both critical values sit at curve parameter {black_cv}",
         )
     sys = _ray_system(alpha, beta)
-    if sys.index[SideAngle(Side.BLACK, alpha)] == sys.index[SideAngle(Side.RED, beta)]:
+    if sys.index[alpha] == sys.index[red_cv]:
         raise StructuralError(
             "critical values identified",
             f"the rays at parameters {black_cv} and {red_cv} fall in one collapsed class",

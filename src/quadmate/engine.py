@@ -922,8 +922,7 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
     confirming step usually ends the run ``converged``; a refused one adds
     nothing, the pullback continues from where it was, and a stalled run
     tries again at its next stalled record.  ``curve_hook`` receives the
-    curve of each record as it is added, except the record of a collision;
-    the curve's ``schedule.level`` is the record's n, and its positions at
+    curve of each record as it is added; the curve's ``schedule.level`` is the record's n, and its positions at
     the schedule's two value parameters are the record's u and v.  Raises
     ValueError, before the level-0 curve is built, when ``opts.budget`` is
     below the marked-sample count of a lifted curve, and when the curve is
@@ -980,6 +979,8 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
                     report.records.append(
                         IterationRecord(n, u1, v1, before, len(curve.params), None)
                     )
+                    if curve_hook is not None:
+                        curve_hook(curve)
                     report.status = "diverged"
                     report.message = (
                         f"postcritical points {collided[0]} and {collided[1]} collided: "

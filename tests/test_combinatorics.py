@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from quadmate import combinatorics
 from quadmate.angles import Angle, reduce
 from quadmate.combinatorics import (
     _TRACKED_CAP,
@@ -19,7 +20,7 @@ from quadmate.combinatorics import (
     pullback_schedule,
 )
 from quadmate.errors import AngleError, StructuralError
-from quadmate.lamination import same_landing
+from quadmate.lamination import colanding_class, same_landing
 
 A14, A18 = Angle(1, 4), Angle(1, 8)
 
@@ -27,9 +28,38 @@ A14, A18 = Angle(1, 4), Angle(1, 8)
 GATE_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "gate_verdicts.txt"
 
 
-class ReferenceRaySystem(_RaySystem):
-    """The ray system as built by union-find over the tracked set, with landing
-    points compared pairwise by itinerary (``same_landing``)."""
+def _glue_partner(x: SideAngle) -> SideAngle:
+    """The opposing-sphere ray glued to ``x``: black t and red 1 - t."""
+    other = Side.RED if x.side is Side.BLACK else Side.BLACK
+    return SideAngle(other, x.angle.mirror())
+
+
+def _double(x: SideAngle) -> SideAngle:
+    return SideAngle(x.side, x.angle.double())
+
+
+def _param(x: SideAngle) -> Angle:
+    """The curve parameter of the glued ray: t for black t, 1 - s for red s."""
+    return x.angle if x.side is Side.BLACK else x.angle.mirror()
+
+
+class ReferenceRaySystem:
+    """The ray system as built by union-find over side-tagged rays and their
+    glue partners, with landing points compared pairwise by itinerary
+    (``same_landing``), and the image, L and essential rules of its own."""
+
+    def __init__(self, alpha: Angle, beta: Angle):
+        self.alpha = alpha
+        self.beta = beta
+        self._theta = {Side.BLACK: alpha, Side.RED: beta}
+        self._postcritical = {
+            Side.BLACK: frozenset(alpha.orbit_info().distinct),
+            Side.RED: frozenset(beta.orbit_info().distinct),
+        }
+        self._critical = {
+            s: self._postcritical[s] | set(self._theta[s].halves()) for s in Side
+        }
+        self._build()
 
     def _build(self):
         seeds = [SideAngle(s, a) for s in Side for a in sorted(self._critical[s])]
@@ -45,8 +75,8 @@ class ReferenceRaySystem(_RaySystem):
                     "ray closure overflow",
                     f"more than {_TRACKED_CAP} tracked angles for ({self.alpha}, {self.beta})",
                 )
-            pending.append(sa.glue_partner())
-            pending.append(sa.double())
+            pending.append(_glue_partner(sa))
+            pending.append(_double(sa))
             pending.extend(SideAngle(sa.side, a) for a in self._coland(sa))
         self.tracked = tracked
 
@@ -64,7 +94,7 @@ class ReferenceRaySystem(_RaySystem):
                 parent[rx] = ry
 
         for sa in tracked:
-            union(sa, sa.glue_partner())
+            union(sa, _glue_partner(sa))
             for a in self._coland(sa):
                 union(sa, SideAngle(sa.side, a))
 
@@ -78,6 +108,18 @@ class ReferenceRaySystem(_RaySystem):
         self.image = tuple(self._image_of(c) for c in self.classes)
         self._l_flags = tuple(self._is_l(c) for c in self.classes)
         self.essential = tuple(self._is_essential(i) for i in range(len(self.classes)))
+
+    def _coland(self, sa: SideAngle) -> frozenset[Angle]:
+        return colanding_class(self._theta[sa.side], sa.angle)
+
+    def _image_of(self, cls: frozenset[SideAngle]) -> int:
+        targets = {self.index[_double(sa)] for sa in cls}
+        if len(targets) != 1:
+            raise AssertionError("doubling split a ray class")
+        return targets.pop()
+
+    def is_postcritical(self, sa: SideAngle) -> bool:
+        return sa.angle in self._postcritical[sa.side]
 
     def same_point(self, x: SideAngle, y: SideAngle) -> bool:
         return x.side is y.side and same_landing(self._theta[x.side], x.angle, y.angle)
@@ -93,25 +135,29 @@ class ReferenceRaySystem(_RaySystem):
                 groups.append({sa})
         return [frozenset(g) for g in groups]
 
+    def _is_l(self, cls: frozenset[SideAngle]) -> bool:
+        # two or more distinct postcritical points joined by one ray graph
+        count = sum(
+            1 for g in self.point_groups(cls) if any(self.is_postcritical(sa) for sa in g)
+        )
+        return count >= 2
+
+    def _is_essential(self, i: int) -> bool:
+        # touches a critical orbit, and some forward iterate is an L class
+        if not any(sa.angle in self._critical[sa.side] for sa in self.classes[i]):
+            return False
+        j = self.image[i]
+        seen = set()
+        while j not in seen:
+            seen.add(j)
+            if self._l_flags[j]:
+                return True
+            j = self.image[j]
+        return False
+
 
 def sa(side: str, text: str) -> SideAngle:
     return SideAngle(Side(side), Angle.parse(text))
-
-
-class TestSideAngle:
-    def test_param(self):
-        assert sa("black", "1/4").param() == Angle(1, 4)
-        assert sa("red", "1/8").param() == Angle(7, 8)
-        assert sa("red", "0").param() == Angle(0, 1)
-
-    def test_glue_partner_is_involutive(self):
-        x = sa("black", "3/8")
-        assert x.glue_partner() == sa("red", "5/8")
-        assert x.glue_partner().glue_partner() == x
-
-    def test_glued_pair_shares_its_parameter(self):
-        x = sa("black", "5/16")
-        assert x.param() == x.glue_partner().param()
 
 
 class TestBaseSchedule:
@@ -229,6 +275,18 @@ class TestGates:
         assert postcritical_count(Angle(1, 6), Angle(1, 6)) == 4
 
 
+class TestClosureGuard:
+    # (1/4, 1/8) tracks 18 rays: 9 parameters, each a black and a red ray
+    def test_a_cap_below_the_tracked_rays_refuses(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_TRACKED_CAP", 17)
+        with pytest.raises(StructuralError, match="ray closure overflow"):
+            _RaySystem(A14, A18)
+
+    def test_a_cap_at_the_tracked_rays_builds(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_TRACKED_CAP", 18)
+        _RaySystem(A14, A18)
+
+
 def _table_pairs():
     with GATE_VERDICTS.open() as fh:
         rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
@@ -243,19 +301,18 @@ class TestRayClassOracle:
     def check(alpha: str, beta: str):
         alpha, beta = Angle.parse(alpha), Angle.parse(beta)
         got, want = _RaySystem(alpha, beta), ReferenceRaySystem(alpha, beta)
-        assert got.tracked == want.tracked
-        assert got.classes == want.classes
-        assert got.index == want.index
+        # a class never separates a glued pair, so it is a set of parameters
+        assert {_param(x) for x in want.tracked} == got.tracked
+        assert len(want.tracked) == 2 * len(got.tracked)
+        assert got.classes == tuple(frozenset(map(_param, c)) for c in want.classes)
+        assert got.index == {_param(x): i for x, i in want.index.items()}
         assert got.image == want.image
         assert got.essential == want.essential
-        for cls in want.classes:
-            assert got.point_groups(cls) == want.point_groups(cls)
-        # landing-point identity agrees on every pair of one class's points
-        for cls in want.classes:
-            members = sorted(cls, key=SideAngle.sort_key)
-            for x in members:
-                for y in members:
-                    assert got.same_point(x, y) == want.same_point(x, y)
+        # the landing points on each side, as parameter sets
+        for cls, want_cls in zip(got.classes, want.classes):
+            for k, side in enumerate(Side):
+                groups = want.point_groups(frozenset(x for x in want_cls if x.side is side))
+                assert got.points(k, cls) == {frozenset(map(_param, g)) for g in groups}
 
     def test_every_tenth_table_pair(self):
         pairs = _table_pairs()

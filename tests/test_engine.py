@@ -53,6 +53,11 @@ VERDICT_PREFIXES = {
     "subdivision failure": "subdivision",
 }
 
+
+def verdict(reason: str | None) -> str:
+    """The verdict class of a gate reason, as the committed tables name it."""
+    return "accepted" if reason is None else VERDICT_PREFIXES[reason.split(":", 1)[0]]
+
 # curve parameters: dyadic denominators grow one bit per level, and base
 # parameters bring odd factors
 angle = st.builds(
@@ -1477,8 +1482,7 @@ class TestStructuralGates:
         assert len(rows) == 3486
         for alpha, beta, want in rows[::10]:
             reason = structural_gates(Angle.parse(alpha), Angle.parse(beta))
-            got = "accepted" if reason is None else VERDICT_PREFIXES[reason.split(":", 1)[0]]
-            assert got == want, (alpha, beta, reason)
+            assert verdict(reason) == want, (alpha, beta, reason)
 
     @staticmethod
     def cold_reasons(pairs):
@@ -1495,7 +1499,11 @@ class TestStructuralGates:
         pairs = [(alpha, beta) for alpha, beta, _ in rows]
         shuffled = pairs[:]
         random.Random(19).shuffle(shuffled)
-        assert self.cold_reasons(shuffled) == self.cold_reasons(pairs)
+        reasons = self.cold_reasons(pairs)
+        assert self.cold_reasons(shuffled) == reasons
+        # and every pair keeps the verdict of the committed table
+        for alpha, beta, want in rows:
+            assert verdict(reasons[alpha, beta]) == want, (alpha, beta)
 
     def test_reasons_even_denominators_to_64(self):
         # periods up to 28; every 97th pair of the 94830, so the enumeration
@@ -1510,6 +1518,18 @@ class TestStructuralGates:
         for alpha, beta, want in rows:
             reason = structural_gates(Angle.parse(alpha), Angle.parse(beta))
             assert (reason or "accepted") == want, (alpha, beta)
+
+    def test_verdicts_survive_colour_swap_and_mirror(self):
+        # swapping the colours conjugates the mating by 1/z, and mirroring both
+        # angles by complex conjugation; the first pinching class named may
+        # differ, so only the verdict class is compared
+        with GATE_REASONS_64.open() as fh:
+            rows = [line.split()[:2] for line in fh if not line.startswith("#")]
+        for row in rows:
+            alpha, beta = map(Angle.parse, row)
+            want = verdict(structural_gates(alpha, beta))
+            assert verdict(structural_gates(beta, alpha)) == want, (alpha, beta)
+            assert verdict(structural_gates(alpha.mirror(), beta.mirror())) == want, (alpha, beta)
 
     @pytest.mark.parametrize(
         "alpha,beta",
