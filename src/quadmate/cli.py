@@ -29,7 +29,6 @@ from .combinatorics import (
 from .engine import (
     _PARABOLIC_POINTS,
     _PARABOLIC_WARNING,
-    DiscreteCurve,
     IterateOptions,
     RunReport,
     _class_text,
@@ -161,17 +160,10 @@ def _dump_hook(out_dir: Path):
     """A curve hook that writes each record's curve dump as the record is made.
 
     Every curve ``iterate`` hands out matches its record: its schedule's level
-    is the record's n and the positions at the two value parameters are its u
-    and v.
+    is the record's n and its own critical values, which the dump writes, are
+    the record's u and v.
     """
-
-    def write(curve: DiscreteCurve):
-        s = curve.schedule
-        u = curve.point_at(s.black_value)
-        v = curve.point_at(s.red_value)
-        _write(out_dir / f"curve-{s.level:03d}.txt", dump_curve(curve, u, v))
-
-    return write
+    return lambda c: _write(out_dir / f"curve-{c.schedule.level:03d}.txt", dump_curve(c))
 
 
 def _write_artifacts(out_dir: Path, run_id: str, report: RunReport, render: bool):

@@ -16,9 +16,10 @@ ambiguous.
 The pullback contracts only linearly.  Once it is visibly contracting, the
 iteration tries a Newton finish: Newton's method on the critical-orbit
 relations F(p_t) = p_{2t} of the embedded postcritical points polishes (u, v)
-to roundoff, and one confirming pullback through the polished map, which must
-leave every postcritical point in place, certifies that the solution is the
-fixed point of the curve's isotopy class.  A refused finish leaves the
+to roundoff.  One confirming pullback through the polished map must then leave
+every postcritical point in place: a necessary check, not a certificate of the
+curve's isotopy class, and the bound on how far Newton moves a point is what
+keeps out the other roots that it passes.  A refused finish leaves the
 pullback to continue unchanged.
 """
 
@@ -88,7 +89,7 @@ _ISOTOPY_RATIO = 0.5
 # Koch and Pilgrim, "On Thurston's pullback map", 2009), and a run that
 # circles its fixed point never falls seven times: (1/32, 1/32) jumps after
 # pullback 4 and runs to the cap, and (1/4, 11/16) collides at iteration 9,
-# yet Newton's method certifies a map from their curves of levels 7 and 5.
+# yet a Newton finish is accepted from their curves of levels 7 and 5.
 # The stall rule finishes them there, and takes the census from 20 to 40
 # converging pairs.  3 is the smallest stall that never fires on (1/4, 1/8),
 # whose stall peaks at 2 (pullbacks 12 and 16): 2 would finish it at record
@@ -151,7 +152,7 @@ class IterationRecord:
     plain lift, ``"newton"`` for the map polished by the Newton finish (its
     curve is the previous one with the postcritical samples moved onto the
     polished positions, so both sample counts are that curve's size), and
-    ``"confirm"`` for the pullback through the polished map that certified it.
+    ``"confirm"`` for the pullback through the polished map that checked it.
     In every phase ``increment`` is the chordal step of (u, v) from the
     previous record.
     """

@@ -3,8 +3,9 @@
 The pullback contracts only linearly.  Near its fixed point, Newton's method
 on the critical-orbit relations F_{u,v}(p_t) = p_{2t} of the embedded
 postcritical points converges quadratically, so :func:`finish` polishes the
-curve's embedding onto the solution and certifies it by one confirming
-pullback.  ``engine.iterate`` decides when to try it; standard library only.
+curve's embedding onto the solution and checks it by one confirming pullback
+(necessary, but no certificate of the isotopy class: see ``_NEWTON_MOVE``).
+``engine.iterate`` decides when to try it; standard library only.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .ratmap import SpherePoint, chordal, coefficient_jet, from_critical_values
 
 # A point that moves further than _NEWTON_MOVE has jumped to another solution
 # of the relations: seen early in the runs of (9/10, 9/10) and (19/32, 13/16),
-# where the confirming pullback refused it; this bound spares that pullback.
-# An accepted finish moves points far less (0.032 on (1/4, 1/8)).
+# where the confirming pullback refused it.  It also refuses roots that pass
+# that pullback: the mirrored (1/4, 1/8) map from level 0, and six census
+# pairs' other maps when every record tries a finish.  An accepted finish
+# moves points far less (0.032 on (1/4, 1/8)).
 _NEWTON_MOVE = 0.25
 _NEWTON_RESIDUAL = 1e-13  # largest chordal |F(p_t) - p_{2t}| accepted
 _NEWTON_STEPS = 20
@@ -159,9 +162,9 @@ def finish(
     the critical-orbit relations (record n+1, phase ``"newton"``); one
     pullback through the polished map (record n+2, phase ``"confirm"``) must
     then leave every postcritical point within ``opts.tol`` of where the
-    solution put it, which certifies that the solution is the fixed point of
-    this curve's isotopy class.  None when the finish is refused; a failure
-    of the confirming pullback is a refusal, not an error.
+    solution put it: necessary, not sufficient, for the fixed point of this
+    curve's isotopy class (see ``_NEWTON_MOVE``).  None when the finish is
+    refused; a failure of the confirming pullback is a refusal, not an error.
     """
     target = _polish(curve)
     if target is None:

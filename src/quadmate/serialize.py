@@ -3,8 +3,10 @@
 The dump format is line oriented and human-diffable: curve parameters are
 exact fraction strings, positions are ``repr`` floats (so a round trip through
 the text reproduces every bit), and the point at infinity is the literal
-``inf``.  Parse failures raise :class:`SerializationError` carrying the
-offending line number.
+``inf``.  ``dump_curve(curve)`` writes the curve's own critical values as the
+``u`` and ``v`` lines, and ``load_curve(text)`` returns the curve, refusing
+``u`` and ``v`` lines that are not its samples.  Parse failures raise
+:class:`SerializationError` carrying the offending line number.
 
 The writer makes these bytes cheaply.  A parameter's text comes from its
 integer numerator over the curve's denominator, with no ``Angle`` built.  A
@@ -76,22 +78,23 @@ def _sample_lines(c: DiscreteCurve) -> list[str]:
     return lines
 
 
-def dump_curve(c: DiscreteCurve, u: SpherePoint = None, v: SpherePoint = None) -> str:
-    """Serialize a curve and map parameters (u, v) to text.
+def dump_curve(c: DiscreteCurve) -> str:
+    """Serialize a curve to text.
 
-    ``mate`` dumps give the curve's own critical values, its record's (u, v):
-    the map that lifts the curve next, not the one that produced it.  A
-    parameter p/den is written in lowest terms, ``0`` at the anchor.  On an
-    even sample count, a point that is bitwise the negative of its twin's is
-    written as its twin's coordinate texts with each sign flipped, which is
-    exactly its ``repr`` text (see :func:`_sample_lines`).
+    The ``u`` and ``v`` lines are the curve's samples at its two value
+    parameters, with no collision check: the map that lifts the curve next,
+    not the one that produced it.  A parameter p/den is written in lowest
+    terms, ``0`` at the anchor.  On an even sample count, a point that is
+    bitwise the negative of its twin's is written as its twin's coordinate
+    texts with each sign flipped, which is exactly its ``repr`` text (see
+    :func:`_sample_lines`).
     """
     s = c.schedule
     lines = [
         _MAGIC,
         f"level {s.level}",
-        f"u {_fmt_point(u)}",
-        f"v {_fmt_point(v)}",
+        f"u {_fmt_point(c.point_at(s.black_value))}",
+        f"v {_fmt_point(c.point_at(s.red_value))}",
         f"black-value {s.black_value}",
         f"red-value {s.red_value}",
     ]
@@ -171,34 +174,44 @@ def _keyed(r: _Reader, key: str) -> tuple[int, list[str]]:
     return line, parts[1:]
 
 
-def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
-    """Parse a curve dump into a curve and the (u, v) it was written with."""
+def _value(r: _Reader, key: str) -> tuple[int, str]:
+    """A keyed line that carries exactly one value."""
+    line, rest = _keyed(r, key)
+    if len(rest) > 1:
+        raise SerializationError(f"{key!r} line has more than one value", line)
+    return line, rest[0]
+
+
+def load_curve(text: str) -> DiscreteCurve:
+    """Parse a curve dump; its ``u`` and ``v`` lines must be its own samples."""
     r = _Reader(text)
     if r.peek() is None:
         raise SerializationError("empty dump", 1)
     line, head = r.next()
     if head != _MAGIC:
         raise SerializationError(f"unrecognized header {head!r}", line)
-    line, rest = _keyed(r, "level")
-    level = _parse_int(rest[0], "level", line)
-    line, rest = _keyed(r, "u")
-    u = _parse_point(rest, line)
-    line, rest = _keyed(r, "v")
-    v = _parse_point(rest, line)
-    black_line, rest = _keyed(r, "black-value")
-    black_value = _parse_angle(rest[0], black_line)
-    red_line, rest = _keyed(r, "red-value")
-    red_value = _parse_angle(rest[0], red_line)
+    line, value = _value(r, "level")
+    level = _parse_int(value, "level", line)
+    u_line, rest = _keyed(r, "u")
+    u = _parse_point(rest, u_line)
+    v_line, rest = _keyed(r, "v")
+    v = _parse_point(rest, v_line)
+    black_line, value = _value(r, "black-value")
+    black_value = _parse_angle(value, black_line)
+    red_line, value = _value(r, "red-value")
+    red_value = _parse_angle(value, red_line)
 
     base: list[tuple[Angle, int]] = []
+    base_lines = []
     while (nxt := r.peek()) is not None and nxt.startswith("base "):
         line, rest = _keyed(r, "base")
         if len(rest) != 2:
             raise SerializationError("base line needs a parameter and a point id", line)
         base.append((_parse_angle(rest[0], line), _parse_int(rest[1], "point id", line)))
+        base_lines.append(line)
 
-    line, rest = _keyed(r, "marks")
-    n_marks = _parse_int(rest[0], "mark count", line)
+    line, value = _value(r, "marks")
+    n_marks = _parse_int(value, "mark count", line)
     if n_marks < 1:  # the anchor mark at 0 is always there
         raise SerializationError(f"bad mark count {n_marks}", line)
     marks: list[Mark] = []
@@ -232,10 +245,13 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
         marks.append(Mark(t, _KINDS[parts[1]], point_id=pid, color=color))
         needed.append(("mark", t, line))
     needed += [("black value", black_value, black_line), ("red value", red_value, red_line)]
-
-    line, rest = _keyed(r, "samples")
-    n_samples = _parse_int(rest[0], "sample count", line)
     marked_at = {m.parameter for m in marks}
+    for (t, _), line in zip(base, base_lines):  # every level marks its base points
+        if t not in marked_at:
+            raise SerializationError(f"base point at parameter {t} is not a mark", line)
+
+    line, value = _value(r, "samples")
+    n_samples = _parse_int(value, "sample count", line)
     params: list[Angle] = []
     points: list[SpherePoint] = []
     marked: list[int] = []
@@ -266,7 +282,10 @@ def load_curve(text: str) -> tuple[DiscreteCurve, SpherePoint, SpherePoint]:
             curve.index(t)
         except KeyError:
             raise SerializationError(f"{what} at parameter {t} has no sample", line) from None
-    return curve, u, v
+    for what, t, z, line in (("u", black_value, u, u_line), ("v", red_value, v, v_line)):
+        if curve.point_at(t) != z:
+            raise SerializationError(f"{what} is not the sample at parameter {t}", line)
+    return curve
 
 
 def format_report(report: RunReport, run_id: str) -> str:

@@ -99,6 +99,6 @@ class TestRenderViews:
         far = replace(level0, points=tuple(points))
         points[k] = None
         at_inf = replace(level0, points=tuple(points))
-        loaded, _, _ = load_curve(dump_curve(far))
+        loaded = load_curve(dump_curve(far))
         assert loaded.points[k] == 1e200 + 0j
         assert render_views(loaded) == render_views(at_inf)

@@ -28,7 +28,7 @@ def curve_with_infinity():
     c0 = init_embedding(s0, 8)
     u, v = read_critical_values(c0)
     F = from_critical_values(u, v)
-    return pullback_curve(c0, F, pullback_schedule(s0)), u, v
+    return pullback_curve(c0, F, pullback_schedule(s0))
 
 
 def reference_fmt_point(z):
@@ -38,15 +38,23 @@ def reference_fmt_point(z):
     return f"{z.real!r} {z.imag!r}"
 
 
-def reference_dump_curve(c, u=None, v=None):
+def reference_map_lines(c):
+    """The ``u`` and ``v`` lines of a dump: the curve's own critical values."""
+    s = c.schedule
+    return [
+        f"u {reference_fmt_point(c.point_at(s.black_value))}",
+        f"v {reference_fmt_point(c.point_at(s.red_value))}",
+    ]
+
+
+def reference_dump_curve(c):
     """``serialize.dump_curve`` as it was written with an ``Angle`` and two
     fresh ``repr`` calls a sample."""
     s = c.schedule
     lines = [
         "quadmate-curve 1",
         f"level {s.level}",
-        f"u {reference_fmt_point(u)}",
-        f"v {reference_fmt_point(v)}",
+        *reference_map_lines(c),
         f"black-value {s.black_value}",
         f"red-value {s.red_value}",
     ]
@@ -104,9 +112,13 @@ def worked_example_curves(worked_example_run):
 class TestRoundTrip:
     def test_level_zero(self):
         c = init_embedding(base_schedule(A14, A18), 8)
-        text = dump_curve(c, 1j, -1j)
-        back, u, v = load_curve(text)
-        assert u == 1j and v == -1j
+        text = dump_curve(c)
+        back = load_curve(text)
+        # the samples at 1/4 and 7/8 on the unit circle
+        assert text.splitlines()[2:4] == [
+            "u 6.123233995736766e-17 1.0",
+            "v 0.7071067811865474 -0.7071067811865477",
+        ]
         assert back.schedule.level == 0
         assert back.schedule == c.schedule
         assert (back.params, back.den, back.points) == (c.params, c.den, c.points)
@@ -115,27 +127,45 @@ class TestRoundTrip:
         # ``==`` cannot see the sign of a zero, so the bytes are compared too
         assert worked_example_curves[-1][0].schedule.level == 25
         for c, u, v in worked_example_curves:
-            text = dump_curve(c, u, v)
-            back, u2, v2 = load_curve(text)
+            text = dump_curve(c)
+            back = load_curve(text)
             assert back == c
-            assert (u2, v2) == (u, v)
-            assert dump_curve(back, u2, v2) == text
+            # each hooked curve's own critical values are its record's
+            assert text.splitlines()[2:4] == [
+                f"u {reference_fmt_point(u)}", f"v {reference_fmt_point(v)}"
+            ]
+            assert dump_curve(back) == text
 
     def test_bytes_stable_through_reload(self, curve_with_infinity):
-        c, u, v = curve_with_infinity
-        text = dump_curve(c, u, v)
-        back, u2, v2 = load_curve(text)
-        assert dump_curve(back, u2, v2) == text
+        c = curve_with_infinity
+        text = dump_curve(c)
+        assert text.splitlines()[2:4] == reference_map_lines(c)
+        assert dump_curve(load_curve(text)) == text
 
     def test_infinity_survives(self, curve_with_infinity):
-        c, u, v = curve_with_infinity
-        back, _, _ = load_curve(dump_curve(c, u, v))
+        c = curve_with_infinity
+        back = load_curve(dump_curve(c))
         assert None in c.points
         assert back.points == c.points
 
+    def test_critical_value_at_infinity(self):
+        # (5/8, 3/4) converges with u at infinity: every hooked curve from
+        # level 1 on dumps ``u inf``, and a finite u line there is refused
+        report, curves = _run(Angle(5, 8), Angle(3, 4), IterateOptions(max_iters=40))
+        assert report.status == "converged" and report.records[-1].u is None
+        texts = [dump_curve(c) for c in curves]
+        assert sum("\nu inf\n" in t for t in texts) == 9
+        for c, text in zip(curves, texts):
+            back = load_curve(text)
+            assert back == c
+            assert dump_curve(back) == text
+        with pytest.raises(SerializationError) as err:
+            load_curve(texts[-1].replace("\nu inf\n", "\nu 0.0 0.0\n"))
+        assert str(err.value) == "line 3: u is not the sample at parameter 5/8"
+
     def test_marks_reattach(self, curve_with_infinity):
-        c, u, v = curve_with_infinity
-        back, _, _ = load_curve(dump_curve(c, u, v))
+        c = curve_with_infinity
+        back = load_curve(dump_curve(c))
         assert back.marks == c.marks
         assert back.schedule.marks == c.schedule.marks
 
@@ -149,7 +179,7 @@ class TestReloadedRun:
         pullbacks = [r for r in report.records[1:] if r.phase == "pullback"]
         assert [r.n for r in pullbacks] == [*range(1, 24)]
         for rec in pullbacks:
-            loaded, _, _ = load_curve(dump_curve(curves[rec.n - 1]))
+            loaded = load_curve(dump_curve(curves[rec.n - 1]))
             got, before = _pullback(loaded, IterateOptions().budget)
             assert got == curves[rec.n]
             assert _bits(got.points) == _bits(curves[rec.n].points)
@@ -158,7 +188,7 @@ class TestReloadedRun:
     def test_finish_from_the_reloaded_curve_ends_the_run(self, worked_example_run):
         report, curves = worked_example_run
         assert [r.phase for r in report.records[24:]] == ["newton", "confirm"]
-        loaded, _, _ = load_curve(dump_curve(curves[23]))
+        loaded = load_curve(dump_curve(curves[23]))
         steps = finish(loaded, IterateOptions())
         assert steps is not None and len(steps) == 2
         for (rec, c), want, want_c in zip(steps, report.records[24:], curves[24:]):
@@ -172,8 +202,8 @@ class TestDumpBytes:
 
     def test_worked_example_run(self, worked_example_curves):
         assert [c.schedule.level for c, _, _ in worked_example_curves] == [*range(26), 25]
-        for c, u, v in worked_example_curves:
-            assert dump_curve(c, u, v) == reference_dump_curve(c, u, v)
+        for c, _, _ in worked_example_curves:
+            assert dump_curve(c) == reference_dump_curve(c)
 
     @pytest.mark.parametrize("alpha, beta", [((1, 10), (19, 20)), ((9, 10), (9, 10))])
     def test_diverging_runs(self, alpha, beta):
@@ -181,17 +211,16 @@ class TestDumpBytes:
         # final curve and (9/10, 9/10) at level 18, so not every sample of
         # the second half is its twin's negative
         run = _run_curves(*_run(Angle(*alpha), Angle(*beta), IterateOptions(max_iters=20)))
-        for c, u, v in run:
-            assert dump_curve(c, u, v) == reference_dump_curve(c, u, v)
+        for c, _, _ in run:
+            assert dump_curve(c) == reference_dump_curve(c)
 
     def test_curve_with_infinity(self, curve_with_infinity):
-        c, u, v = curve_with_infinity
-        assert dump_curve(c, u, v) == reference_dump_curve(c, u, v)
+        assert dump_curve(curve_with_infinity) == reference_dump_curve(curve_with_infinity)
 
     def test_odd_sample_count(self):
         c = init_embedding(base_schedule(A14, A18), 8)
         assert len(c.params) % 2 == 1
-        assert dump_curve(c, 1j, -1j) == reference_dump_curve(c, 1j, -1j)
+        assert dump_curve(c) == reference_dump_curve(c)
 
     def test_twins_differing_in_the_sign_of_a_zero(self):
         # each point of the second half equals its twin's negative under
@@ -202,8 +231,8 @@ class TestDumpBytes:
         second = [complex(-z.real, 0.0) if z.real else complex(0.0, -z.imag) for z in first]
         c = replace(c, points=tuple(first + second))
         assert all(z == -w for z, w in zip(second, first))
-        text = dump_curve(c, 1j, -1j)
-        assert text == reference_dump_curve(c, 1j, -1j)
+        text = dump_curve(c)
+        assert text == reference_dump_curve(c)
         assert "-0.0" not in text[text.index("\nsamples "):]
 
 
@@ -217,14 +246,12 @@ class TestParseErrors:
             load_curve("something else\n")
 
     def test_edited_kind_field_named(self, curve_with_infinity):
-        c, u, v = curve_with_infinity
-        text = dump_curve(c, u, v).replace("critical-point", "critcal-point", 1)
+        text = dump_curve(curve_with_infinity).replace("critical-point", "critcal-point", 1)
         with pytest.raises(SerializationError, match="kind"):
             load_curve(text)
 
     def test_error_carries_line_number(self, curve_with_infinity):
-        c, u, v = curve_with_infinity
-        lines = dump_curve(c, u, v).splitlines()
+        lines = dump_curve(curve_with_infinity).splitlines()
         broken = next(i for i, l in enumerate(lines) if "critical-point" in l)
         lines[broken] = lines[broken].replace("critical-point", "mystery")
         with pytest.raises(SerializationError) as err:
@@ -235,7 +262,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("key", ["level", "black-value", "red-value", "marks", "samples"])
     def test_keyed_line_without_value(self, key):
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines = dump_curve(c).splitlines()
         at = next(i for i, l in enumerate(lines) if l.startswith(f"{key} "))
         lines[at] = key
         with pytest.raises(SerializationError) as err:
@@ -243,15 +270,53 @@ class TestParseErrors:
         assert err.value.line == at + 1
         assert f"line {at + 1}: {key!r} line has no value" == str(err.value)
 
+    @pytest.mark.parametrize("key", ["level", "black-value", "red-value", "marks", "samples"])
+    def test_keyed_line_with_extra_value(self, key):
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c).splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith(f"{key} "))
+        lines[at] += " 7"
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: {key!r} line has more than one value"
+
+    @pytest.mark.parametrize(
+        "edited",
+        ["u 5 7", "u inf", "u 6.123233995736766e-17 1.0000000000000002", "v 0.0 1.0", "v inf"],
+    )
+    def test_map_line_not_the_sample_rejected(self, edited):
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c).splitlines()
+        key = edited.split()[0]
+        at = next(i for i, l in enumerate(lines) if l.startswith(f"{key} "))
+        lines[at] = edited
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        t = {"u": "1/4", "v": "7/8"}[key]
+        assert str(err.value) == f"line {at + 1}: {key} is not the sample at parameter {t}"
+
+    @pytest.mark.parametrize("t", ["1/3", "1/5"])
+    def test_base_point_off_the_marks_rejected(self, t):
+        # every schedule marks its base points; on the level-0 curve at the
+        # default density 1/3 is a sample and 1/5 is not, and either base
+        # line would otherwise load and make the Newton finish, or relabel,
+        # raise a bare KeyError
+        c = init_embedding(base_schedule(A14, A18), IterateOptions().samples_per_arc)
+        lines = dump_curve(c).splitlines()
+        at = lines.index("marks 5")
+        lines.insert(at, f"base {t} 9")
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: base point at parameter {t} is not a mark"
+
     def test_truncated_file(self, curve_with_infinity):
-        c, u, v = curve_with_infinity
-        lines = dump_curve(c, u, v).splitlines()
+        lines = dump_curve(curve_with_infinity).splitlines()
         with pytest.raises(SerializationError, match="end of file"):
             load_curve("\n".join(lines[:-5]))
 
     def test_bad_position(self):
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines = dump_curve(c).splitlines()
         start = next(i for i, l in enumerate(lines) if l.startswith("samples "))
         param = lines[start + 1].split()[0]
         lines[start + 1] = f"{param} spam eggs extra"
@@ -261,7 +326,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("position", ["nan 0.0", "1e999 2", "0.5 -inf"])
     def test_non_finite_sample_rejected(self, position):
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines = dump_curve(c).splitlines()
         at = next(i for i, l in enumerate(lines) if l.startswith("samples ")) + 2
         lines[at] = f"{lines[at].split()[0]} {position}"
         with pytest.raises(SerializationError) as err:
@@ -270,8 +335,8 @@ class TestParseErrors:
 
     def test_non_finite_map_parameter_rejected(self):
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
-        at = lines.index("u 0.0 1.0")
+        lines = dump_curve(c).splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("u "))
         lines[at] = "u nan nan"
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
@@ -279,7 +344,7 @@ class TestParseErrors:
 
     def test_out_of_order_samples_rejected(self):
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines = dump_curve(c).splitlines()
         start = next(i for i, l in enumerate(lines) if l.startswith("samples "))
         lines[start + 1], lines[start + 2] = lines[start + 2], lines[start + 1]
         with pytest.raises(SerializationError, match="out of order"):
@@ -289,7 +354,7 @@ class TestParseErrors:
         # the sample at the black value carries a mark; without it the mark
         # line is refused, not the read of the critical values later
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines = dump_curve(c).splitlines()
         start = next(i for i, l in enumerate(lines) if l.startswith("samples "))
         lines[start] = f"samples {len(c.params) - 1}"
         lines.remove(next(l for l in lines[start:] if l.startswith("1/4 ")))
@@ -303,7 +368,7 @@ class TestParseErrors:
         # a repeated mark line would leave the curve with fewer marked
         # samples than its schedule has marks
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines = dump_curve(c).splitlines()
         lines[lines.index("marks 5")] = "marks 6"
         at = lines.index("1/2 postcritical 2 -")
         lines.insert(at, lines[at])
@@ -315,7 +380,7 @@ class TestParseErrors:
 
     def test_marks_start_at_the_anchor(self):
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines = dump_curve(c).splitlines()
         lines[lines.index("marks 5")] = "marks 4"
         lines.remove("0 postcritical 5 -")
         at = lines.index("1/4 postcritical 1 -")
@@ -325,7 +390,7 @@ class TestParseErrors:
 
     def test_no_marks_rejected(self):
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines = dump_curve(c).splitlines()
         at = lines.index("marks 5")
         lines[at : at + 6] = ["marks 0"]
         with pytest.raises(SerializationError) as err:
@@ -334,7 +399,7 @@ class TestParseErrors:
 
     def test_value_without_sample_rejected(self):
         c = init_embedding(base_schedule(A14, A18), 2)
-        lines = dump_curve(c, 1j, -1j).splitlines()
+        lines = dump_curve(c).splitlines()
         at = lines.index("red-value 7/8")
         lines[at] = "red-value 1/1000"
         with pytest.raises(SerializationError) as err:
