@@ -42,7 +42,6 @@ from .lamination import (
     limb_of,
     mateable,
     pullback_lamination,
-    same_landing,
     wake,
 )
 from .ratmap import (

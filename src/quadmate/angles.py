@@ -9,7 +9,6 @@ never enlarges a reduced denominator, so orbits terminate exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 from math import gcd
 
@@ -58,10 +57,6 @@ class Angle:
 
     def __lt__(self, other: "Angle") -> bool:
         return self.num * other.den < other.num * self.den
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __float__(self) -> float:
         return self.num / self.den

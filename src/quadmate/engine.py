@@ -15,12 +15,12 @@ ambiguous.
 
 The pullback contracts only linearly.  Once it is visibly contracting, the
 iteration tries a Newton finish: Newton's method on the critical-orbit
-relations F(p_t) = p_{2t} of the embedded postcritical points polishes (u, v)
-to roundoff.  One confirming pullback through the polished map must then leave
-every postcritical point in place: a necessary check, not a certificate of the
-curve's isotopy class, and the bound on how far Newton moves a point is what
-keeps out the other roots that it passes.  A refused finish leaves the
-pullback to continue unchanged.
+relations F(p_t) = p_{2t} of the embedded postcritical points, solved by the
+``newton`` module, polishes (u, v) to roundoff.  One confirming pullback
+through the polished map must then leave every postcritical point in place: a
+necessary check, not a certificate of the curve's isotopy class, and the bound
+on how far Newton moves a point is what keeps out the other roots that it
+passes.  A refused finish leaves the pullback to continue unchanged.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .combinatorics import (
 )
 from .errors import BranchTrackingError, NumericError, StructuralError
 from .lamination import mateable_detail
+from .newton import _pinned, solve_relations
 from .ratmap import (
     NormalizedQuadratic,
     SpherePoint,
@@ -71,12 +72,17 @@ _PRUNE_TOL = 1e-6
 _COLLAPSE_TOL = 1e-8
 
 # a chain's sign is accepted on marked-point continuity alone when the better
-# candidate moves every marked point at most this far and beats the other
-# candidate by the ratio; otherwise the local handedness read decides
+# candidate's score beats the other's by _ISOTOPY_RATIO; otherwise the local
+# handedness read decides.  A score is a chordal distance, at most 2, so for
+# finite scores the ratio already bounds the better one by 1 (up to
+# roundoff).  What _ISOTOPY_DECISIVE does is refuse a chain with no
+# postcritical mark, which scores inf for both signs: inf <= 0.5 * inf holds,
+# inf <= 1.0 does not.  Without it the sign of u flips at the first pullback
+# of (1/10, 19/20).  ROADMAP item 5 plans to score such chains by isotopy.
 _ISOTOPY_DECISIVE = 1.0
 _ISOTOPY_RATIO = 0.5
 
-# The Newton finish (see iterate and the newton module) is tried once the
+# The Newton finish (see iterate and finish) is tried once the
 # increment has fallen in _FINISH_FALLS successive pullbacks, or has not
 # improved its running minimum for _FINISH_STALE successive records.  Both
 # were chosen on (1/4, 1/8) and on the 50 gate-accepted pairs of
@@ -97,6 +103,15 @@ _ISOTOPY_RATIO = 0.5
 # A refused try is retried at the next stalled record.
 _FINISH_FALLS = 7
 _FINISH_STALE = 3
+
+# A point that moves further than _NEWTON_MOVE has jumped to another solution
+# of the relations: seen early in the runs of (9/10, 9/10) and (19/32, 13/16),
+# where the confirming pullback refused it.  It also refuses roots that pass
+# that pullback: the mirrored (1/4, 1/8) map from level 0, and six census
+# pairs' other maps when every record tries a finish.  An accepted finish
+# moves points far less (0.032 on (1/4, 1/8)).
+_NEWTON_MOVE = 0.25
+_NEWTON_RESIDUAL = 1e-13  # largest chordal |F(p_t) - p_{2t}| accepted
 
 # iterate and ``quadmate check`` warn of a postcritical set this small
 _PARABOLIC_POINTS = 4
@@ -902,6 +917,76 @@ def _pullback(curve: DiscreteCurve, budget: int) -> tuple[DiscreteCurve, int]:
     return _rebase(lifted, curve.schedule), before
 
 
+def _polish(curve: DiscreteCurve) -> dict[Angle, complex] | None:
+    """The Newton solution near the curve's embedding, or None when refused.
+
+    Refused unless the relation residual (the largest chordal distance
+    between F(p_t) and p_{2t}) is below ``_NEWTON_RESIDUAL``, no postcritical
+    point moves more than ``_NEWTON_MOVE`` and no two of them collide.
+    """
+    s0 = curve.schedule
+    before = {t: curve.point_at(t) for t, _ in s0.base_points}
+    solved = solve_relations(s0, before)
+    if solved is None:
+        return None
+    position = {**_pinned(s0), **solved}
+    try:
+        F = from_critical_values(position[s0.black_value], position[s0.red_value])
+    except ValueError:
+        return None
+    residual = max(chordal(F.eval(z), position[t.double()]) for t, z in solved.items())
+    moved = max(chordal(before[t], z) for t, z in solved.items())
+    if not (residual < _NEWTON_RESIDUAL and moved <= _NEWTON_MOVE):
+        return None
+    if _collision({pid: position[t] for t, pid in s0.base_points}) is not None:
+        return None
+    return solved
+
+
+def finish(
+    curve: DiscreteCurve, opts: IterateOptions
+) -> list[tuple[IterationRecord, DiscreteCurve]] | None:
+    """The records n+1 and n+2 of an accepted Newton finish, with their curves.
+
+    ``curve`` is the level-n curve of record n, whose schedule gives the
+    relations.  Its postcritical samples move onto the Newton solution of
+    the critical-orbit relations (record n+1, phase ``"newton"``); one
+    pullback through the polished map (record n+2, phase ``"confirm"``) must
+    then leave every postcritical point within ``opts.tol`` of where the
+    solution put it: necessary, not sufficient, for the fixed point of this
+    curve's isotopy class (see ``_NEWTON_MOVE``).  None when the finish is
+    refused; a failure of the confirming pullback is a refusal, not an error.
+    """
+    target = _polish(curve)
+    if target is None:
+        return None
+    level = curve.schedule.level + 1
+    points = list(curve.points)
+    for t, z in target.items():
+        points[curve.index(t)] = z
+    polished = replace(curve, points=tuple(points), schedule=replace(curve.schedule, level=level))
+    u, v = read_critical_values(curve)
+    try:
+        pu, pv = read_critical_values(polished)
+        confirmed, before = _pullback(polished, opts.budget)
+        cu, cv = read_critical_values(confirmed)
+    except (NumericError, StructuralError):
+        return None
+    if not all(
+        chordal(confirmed.point_at(t), z) < opts.tol for t, z in target.items()
+    ):
+        return None
+    size = len(polished.params)
+    newton = IterationRecord(
+        level, pu, pv, size, size, chordal(u, pu) + chordal(v, pv), "newton"
+    )
+    confirm = IterationRecord(
+        level + 1, cu, cv, before, len(confirmed.params),
+        chordal(pu, cu) + chordal(pv, cv), "confirm",
+    )
+    return [(newton, polished), (confirm, confirmed)]
+
+
 def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), curve_hook=None) -> RunReport:
     """Run the full pullback iteration and report the (u_n, v_n) sequence.
 
@@ -918,7 +1003,7 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
     the run tries a Newton finish: Newton's method on the critical-orbit
     relations, accepted only with a small residual, no postcritical point
     moved far, and one confirming pullback that leaves every postcritical
-    point within ``opts.tol`` (see :func:`quadmate.newton.finish`).  An
+    point within ``opts.tol`` (see :func:`finish`).  An
     accepted finish adds a ``"newton"`` and a ``"confirm"`` record, and the
     confirming step usually ends the run ``converged``; a refused one adds
     nothing, the pullback continues from where it was, and a stalled run
@@ -965,10 +1050,6 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
                 and opts.tol > 0
                 and n + 2 <= opts.max_iters
             ):
-                # newton imports this module, so a top-level import would be
-                # circular
-                from .newton import finish
-
                 falls = 0
                 steps = finish(curve, opts)
             if steps is None:

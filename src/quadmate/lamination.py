@@ -79,32 +79,6 @@ def _side(tn: int, td: int, num: int, den: int) -> int | None:
     return 1 if lo < twice < hi else 0
 
 
-def same_landing(theta: Angle, s: Angle, t: Angle) -> bool:
-    """True iff the rays at angles ``s`` and ``t`` land at the same Julia-set point.
-
-    Exact itinerary comparison: the pair orbit under simultaneous doubling is
-    eventually periodic, so equality of the two symbol streams is decidable in
-    finitely many steps.  Where the symbols first differ, both rays may still
-    land at the critical point, whose rays double onto those landing with
-    ``theta``; theta's own orbit never meets the critical point.
-    """
-    _require_preperiodic(theta)
-    split = _first_split(theta, s, t)
-    return split is None or all(_first_split(theta, x.double(), theta) is None for x in split)
-
-
-def _first_split(theta: Angle, s: Angle, t: Angle) -> tuple[Angle, Angle] | None:
-    """The first pair of the orbit of ``(s, t)`` on different sides of the leaf."""
-    seen: set[tuple[Angle, Angle]] = set()
-    pair = (s, t)
-    while pair not in seen:
-        seen.add(pair)
-        if side(theta, pair[0]) != side(theta, pair[1]):
-            return pair
-        pair = (pair[0].double(), pair[1].double())
-    return None
-
-
 def colanding_class(theta: Angle, t: Angle) -> frozenset[Angle]:
     """All rational angles whose rays land at the same point as the ray at ``t``.
 

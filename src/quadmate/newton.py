@@ -1,39 +1,21 @@
-"""The Newton finish of the pullback iteration.
+"""The critical-orbit relations of the pullback's fixed point, solved by Newton.
 
-The pullback contracts only linearly.  Near its fixed point, Newton's method
-on the critical-orbit relations F_{u,v}(p_t) = p_{2t} of the embedded
-postcritical points converges quadratically, so :func:`finish` polishes the
-curve's embedding onto the solution and checks it by one confirming pullback
-(necessary, but no certificate of the isotopy class: see ``_NEWTON_MOVE``).
-``engine.iterate`` decides when to try it; standard library only.
+The embedded postcritical points of a mating's map satisfy F_{u,v}(p_t) =
+p_{2t}.  Near its fixed point the pullback contracts only linearly, while
+Newton's method on these relations converges quadratically:
+:func:`solve_relations` takes the curve's embedding to the solution.
+``engine.iterate`` decides when to try it, and ``engine.finish`` whether to
+accept what it returns; standard library only.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import replace
 
 from .angles import ZERO, Angle
 from .combinatorics import Schedule
-from .engine import (
-    DiscreteCurve,
-    IterateOptions,
-    IterationRecord,
-    _collision,
-    _pullback,
-    read_critical_values,
-)
-from .errors import NumericError, StructuralError
-from .ratmap import SpherePoint, chordal, coefficient_jet, from_critical_values
+from .ratmap import SpherePoint, coefficient_jet
 
-# A point that moves further than _NEWTON_MOVE has jumped to another solution
-# of the relations: seen early in the runs of (9/10, 9/10) and (19/32, 13/16),
-# where the confirming pullback refused it.  It also refuses roots that pass
-# that pullback: the mirrored (1/4, 1/8) map from level 0, and six census
-# pairs' other maps when every record tries a finish.  An accepted finish
-# moves points far less (0.032 on (1/4, 1/8)).
-_NEWTON_MOVE = 0.25
-_NEWTON_RESIDUAL = 1e-13  # largest chordal |F(p_t) - p_{2t}| accepted
 _NEWTON_STEPS = 20
 _NEWTON_STEP_TOL = 1e-15  # relative size of the Newton step that ends it
 _SINGULAR_PIVOT = 1e-14  # pivot, relative to the largest entry, deemed zero
@@ -124,73 +106,3 @@ def solve_relations(s0: Schedule, embedded: dict[Angle, SpherePoint]) -> dict[An
     if not all(cmath.isfinite(z) for z in x):
         return None
     return dict(zip(free, x))
-
-
-def _polish(curve: DiscreteCurve) -> dict[Angle, complex] | None:
-    """The Newton solution near the curve's embedding, or None when refused.
-
-    Refused unless the relation residual (the largest chordal distance
-    between F(p_t) and p_{2t}) is below ``_NEWTON_RESIDUAL``, no postcritical
-    point moves more than ``_NEWTON_MOVE`` and no two of them collide.
-    """
-    s0 = curve.schedule
-    before = {t: curve.point_at(t) for t, _ in s0.base_points}
-    solved = solve_relations(s0, before)
-    if solved is None:
-        return None
-    position = {**_pinned(s0), **solved}
-    try:
-        F = from_critical_values(position[s0.black_value], position[s0.red_value])
-    except ValueError:
-        return None
-    residual = max(chordal(F.eval(z), position[t.double()]) for t, z in solved.items())
-    moved = max(chordal(before[t], z) for t, z in solved.items())
-    if not (residual < _NEWTON_RESIDUAL and moved <= _NEWTON_MOVE):
-        return None
-    if _collision({pid: position[t] for t, pid in s0.base_points}) is not None:
-        return None
-    return solved
-
-
-def finish(
-    curve: DiscreteCurve, opts: IterateOptions
-) -> list[tuple[IterationRecord, DiscreteCurve]] | None:
-    """The records n+1 and n+2 of an accepted Newton finish, with their curves.
-
-    ``curve`` is the level-n curve of record n, whose schedule gives the
-    relations.  Its postcritical samples move onto the Newton solution of
-    the critical-orbit relations (record n+1, phase ``"newton"``); one
-    pullback through the polished map (record n+2, phase ``"confirm"``) must
-    then leave every postcritical point within ``opts.tol`` of where the
-    solution put it: necessary, not sufficient, for the fixed point of this
-    curve's isotopy class (see ``_NEWTON_MOVE``).  None when the finish is
-    refused; a failure of the confirming pullback is a refusal, not an error.
-    """
-    target = _polish(curve)
-    if target is None:
-        return None
-    level = curve.schedule.level + 1
-    points = list(curve.points)
-    for t, z in target.items():
-        points[curve.index(t)] = z
-    polished = replace(curve, points=tuple(points), schedule=replace(curve.schedule, level=level))
-    u, v = read_critical_values(curve)
-    try:
-        pu, pv = read_critical_values(polished)
-        confirmed, before = _pullback(polished, opts.budget)
-        cu, cv = read_critical_values(confirmed)
-    except (NumericError, StructuralError):
-        return None
-    if not all(
-        chordal(confirmed.point_at(t), z) < opts.tol for t, z in target.items()
-    ):
-        return None
-    size = len(polished.params)
-    newton = IterationRecord(
-        level, pu, pv, size, size, chordal(u, pu) + chordal(v, pv), "newton"
-    )
-    confirm = IterationRecord(
-        level + 1, cu, cv, before, len(confirmed.params),
-        chordal(pu, cu) + chordal(pv, cv), "confirm",
-    )
-    return [(newton, polished), (confirm, confirmed)]

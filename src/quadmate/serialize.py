@@ -245,10 +245,19 @@ def load_curve(text: str) -> DiscreteCurve:
         marks.append(Mark(t, _KINDS[parts[1]], point_id=pid, color=color))
         needed.append(("mark", t, line))
     needed += [("black value", black_value, black_line), ("red value", red_value, red_line)]
-    marked_at = {m.parameter for m in marks}
-    for (t, _), line in zip(base, base_lines):  # every level marks its base points
+    # every level marks its base points, each with its own id
+    marked_at = {m.parameter: m.point_id for m in marks}
+    ids = set()
+    for (t, pid), line in zip(base, base_lines):
         if t not in marked_at:
             raise SerializationError(f"base point at parameter {t} is not a mark", line)
+        if pid in ids:
+            raise SerializationError(f"base point id {pid} repeats", line)
+        if pid != marked_at[t]:
+            raise SerializationError(
+                f"base point id {pid} is not the mark's id at parameter {t}", line
+            )
+        ids.add(pid)
 
     line, value = _value(r, "samples")
     n_samples = _parse_int(value, "sample count", line)

@@ -20,7 +20,8 @@ from quadmate.combinatorics import (
     pullback_schedule,
 )
 from quadmate.errors import AngleError, StructuralError
-from quadmate.lamination import colanding_class, same_landing
+from quadmate.lamination import colanding_class
+from test_lamination import same_landing
 
 A14, A18 = Angle(1, 4), Angle(1, 8)
 

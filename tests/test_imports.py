@@ -1,10 +1,15 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and imports only
+what it runs.
 
 The modules are parsed, not imported.  ``__init__.py`` is exempt: its
-imports are the public API.
+imports are the public API.  The package's modules import one another
+without a cycle, and the command line loads none of the standard library's
+exact-arithmetic modules, which only the tests use.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +63,53 @@ def test_an_unused_import_is_found():
     )
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"turn"}
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The package modules that ``tree`` imports relatively, function bodies
+    included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            out.update(name.partition(".")[0] for name in names)
+    return out
+
+
+def test_package_imports_form_no_cycle():
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    graph = {name: sorted(package_imports(tree)) for name, tree in trees.items()}
+    done = set()
+
+    def visit(name, path):
+        if name in path:
+            cycle = path[path.index(name):] + [name]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if name not in done:
+            for target in graph.get(name, ()):
+                visit(target, path + [name])
+            done.add(name)
+
+    for name in graph:
+        visit(name, [])
+    # a cycle hidden in a function body would load lazily; none is needed
+    lazy = {
+        (name, fn.name)
+        for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and package_imports(fn)
+    }
+    assert lazy == set(), "functions that import package modules (module, function)"
+
+
+def test_the_cli_loads_no_exact_arithmetic():
+    # -S keeps site hooks, and whatever they import, out of the child
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import quadmate.cli; "
+        "print(' '.join(sorted({'fractions', 'decimal'} & set(sys.modules))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []

@@ -15,11 +15,10 @@ from quadmate.lamination import (
     limb_of,
     mateable,
     pullback_lamination,
-    same_landing,
     side,
     wake,
 )
-from quadmate.lamination import _class_map, _periodic_class
+from quadmate.lamination import _class_map, _periodic_class, _require_preperiodic
 
 preperiodic = st.builds(
     lambda p, q: reduce(p, q),
@@ -90,6 +89,36 @@ def reference_wake(limb: LimbId) -> tuple[Angle, Angle]:
         _, i = min(gaps)
         return (reduce(ordered[i], modulus), reduce(ordered[i + 1], modulus))
     raise AssertionError(f"no rotation cycle found for {limb.rotation}")
+
+
+def same_landing(theta: Angle, s: Angle, t: Angle) -> bool:
+    """True iff the rays at angles ``s`` and ``t`` land at the same Julia-set point.
+
+    Exact itinerary comparison: the pair orbit under simultaneous doubling is
+    eventually periodic, so equality of the two symbol streams is decidable in
+    finitely many steps.  Where the symbols first differ, both rays may still
+    land at the critical point, whose rays double onto those landing with
+    ``theta``; theta's own orbit never meets the critical point.  The
+    pairwise oracle for :func:`colanding_class`, which shares none of its
+    code beyond :func:`side`.
+    """
+    _require_preperiodic(theta)
+    split = _first_split(theta, s, t)
+    return split is None or all(_first_split(theta, x.double(), theta) is None for x in split)
+
+
+def _first_split(theta: Angle, s: Angle, t: Angle) -> tuple[Angle, Angle] | None:
+    """The first pair of the orbit of ``(s, t)`` on different sides of the leaf."""
+    seen: set[tuple[Angle, Angle]] = set()
+    pair = (s, t)
+    while pair not in seen:
+        seen.add(pair)
+        if side(theta, pair[0]) != side(theta, pair[1]):
+            return pair
+        pair = (pair[0].double(), pair[1].double())
+    return None
+
+
 
 
 def limbs(max_q: int) -> list[LimbId]:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import quadmate.engine as engine
-import quadmate.newton as newton
 from quadmate.angles import Angle
 from quadmate.combinatorics import base_schedule
 from quadmate.engine import IterateOptions, iterate
@@ -102,19 +101,19 @@ class TestRefused:
         # have real coefficients) but belongs to another mating, so the
         # confirming pullback must refuse it; the move bound is lifted so that
         # the confirming pullback is what decides
-        solve = newton.solve_relations
+        solve = engine.solve_relations
 
         def mirrored(s0, embedded):
             solved = solve(s0, embedded)
             return None if solved is None else {t: z.conjugate() for t, z in solved.items()}
 
-        monkeypatch.setattr(newton, "solve_relations", mirrored)
-        monkeypatch.setattr(newton, "_NEWTON_MOVE", 2.0)
+        monkeypatch.setattr(engine, "solve_relations", mirrored)
+        monkeypatch.setattr(engine, "_NEWTON_MOVE", 2.0)
         refused = iterate(A14, A18, opts)
         refused_calls = len(calls)
 
         calls.clear()
-        monkeypatch.setattr(newton, "solve_relations", lambda s0, embedded: None)
+        monkeypatch.setattr(engine, "solve_relations", lambda s0, embedded: None)
         plain = iterate(A14, A18, opts)
 
         assert refused_calls > len(calls) == 30  # the confirming pullback ran

@@ -9,13 +9,13 @@ from quadmate.combinatorics import base_schedule, pullback_schedule
 from quadmate.engine import (
     IterateOptions,
     _pullback,
+    finish,
     init_embedding,
     iterate,
     pullback_curve,
     read_critical_values,
 )
 from quadmate.errors import SerializationError
-from quadmate.newton import finish
 from quadmate.ratmap import from_critical_values
 from quadmate.serialize import dump_curve, format_report, load_curve
 
@@ -308,6 +308,31 @@ class TestParseErrors:
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
         assert str(err.value) == f"line {at + 1}: base point at parameter {t} is not a mark"
+
+    @pytest.mark.parametrize(
+        "edits, refused, message",
+        [
+            ({"base 1/4 1": "base 1/4 2"}, "base 1/4 2",
+             "id 2 is not the mark's id at parameter 1/4"),
+            ({"base 1/4 1": "base 1/4 9"}, "base 1/4 9",
+             "id 9 is not the mark's id at parameter 1/4"),
+            ({"1/4 postcritical 1 -": "1/4 postcritical 7 -"}, "base 1/4 1",
+             "id 1 is not the mark's id at parameter 1/4"),
+            # the marks repeat the id too
+            ({"base 1/2 2": "base 1/2 1", "1/2 postcritical 2 -": "1/2 postcritical 1 -"},
+             "base 1/2 1", "id 1 repeats"),
+        ],
+        ids=["repeated", "unknown", "mark-differs", "marks-repeat"],
+    )
+    def test_base_point_id_off_its_mark_rejected(self, edits, refused, message):
+        # each would otherwise load, and relabel would read the postcritical
+        # set with a point missing or misnamed
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = [edits.get(line, line) for line in dump_curve(c).splitlines()]
+        at = lines.index(refused)
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: base point {message}"
 
     def test_truncated_file(self, curve_with_infinity):
         lines = dump_curve(curve_with_infinity).splitlines()
