@@ -223,10 +223,23 @@ class MarkKind(Enum):
 
 @dataclass(frozen=True)
 class Mark:
+    """A marked parameter, with the postcritical id and critical-point colour
+    it carries.  Doubling maps the postcritical set into itself, so an id
+    persists at every level, on a half of a critical value too: the kind is
+    derived with the colour first (1/4 is ``crit-red`` with id 4 at level 1
+    of (1/32, 1/2))."""
+
     parameter: Angle
-    kind: MarkKind
     point_id: int | None = None
     color: Side | None = None
+
+    @property
+    def kind(self) -> MarkKind:
+        if self.color is not None:
+            return MarkKind.CRITICAL_POINT
+        if self.point_id is not None:
+            return MarkKind.POSTCRITICAL
+        return MarkKind.ANCHOR if self.parameter == ZERO else MarkKind.PLUMBING
 
     def label(self) -> str:
         if self.kind is MarkKind.POSTCRITICAL:
@@ -240,15 +253,22 @@ class Mark:
 class Schedule:
     """The circularly ordered marks on the level-``level`` curve.
 
-    ``marks`` ascend by parameter starting at 0; ``base_points`` records the
-    level-0 postcritical parameters, which reappear at every level.
+    ``marks`` ascend by parameter starting at 0.  Doubling maps the
+    postcritical set into itself, so every level-0 postcritical parameter is
+    a half of one at the level before and keeps its id at every level, on a
+    critical-point mark too: the marks that carry ids are the level-0 base
+    points, which ``base_points`` lists in mark order.
     """
 
     marks: tuple[Mark, ...]
     level: int
-    base_points: tuple[tuple[Angle, int], ...]
     black_value: Angle  # curve parameter of the black critical value (alpha)
     red_value: Angle  # curve parameter of the red critical value (1 - beta)
+
+    @property
+    def base_points(self) -> tuple[tuple[Angle, int], ...]:
+        """The (parameter, id) of each mark that carries a postcritical id."""
+        return tuple((m.parameter, m.point_id) for m in self.marks if m.point_id is not None)
 
 
 def _base_params(alpha: Angle, beta: Angle) -> frozenset[Angle]:
@@ -285,19 +305,12 @@ def base_schedule(alpha: Angle, beta: Angle) -> Schedule:
             "critical values identified",
             f"the rays at parameters {black_cv} and {red_cv} fall in one collapsed class",
         )
-    params = _base_params(alpha, beta)
-    ids = _point_ids(params)
-    marks = [Mark(t, MarkKind.POSTCRITICAL, point_id=ids[t]) for t in params]
-    if ZERO not in params:
-        marks.append(Mark(ZERO, MarkKind.ANCHOR))
+    ids = _point_ids(_base_params(alpha, beta))
+    marks = [Mark(t, pid) for t, pid in ids.items()]
+    if ZERO not in ids:
+        marks.append(Mark(ZERO))
     marks.sort(key=lambda m: m.parameter)
-    return Schedule(
-        marks=tuple(marks),
-        level=0,
-        base_points=tuple(sorted(ids.items())),
-        black_value=black_cv,
-        red_value=red_cv,
-    )
+    return Schedule(marks=tuple(marks), level=0, black_value=black_cv, red_value=red_cv)
 
 
 def pullback_schedule(s: Schedule) -> Schedule:
@@ -308,29 +321,14 @@ def pullback_schedule(s: Schedule) -> Schedule:
     with level-0 postcritical parameters keep their identity; the rest is plumbing.
     """
     base = dict(s.base_points)
-    crit_black = frozenset(s.black_value.halves())
-    crit_red = frozenset(s.red_value.halves())
-    marks = []
-    for m in s.marks:
-        for t in m.parameter.halves():
-            if t in crit_black or t in crit_red:
-                color = Side.BLACK if t in crit_black else Side.RED
-                marks.append(
-                    Mark(t, MarkKind.CRITICAL_POINT, point_id=base.get(t), color=color)
-                )
-            elif t in base:
-                marks.append(Mark(t, MarkKind.POSTCRITICAL, point_id=base[t]))
-            elif t == ZERO:
-                marks.append(Mark(t, MarkKind.ANCHOR))
-            else:
-                marks.append(Mark(t, MarkKind.PLUMBING))
-    marks.sort(key=lambda m: m.parameter)
+    color = {t: side for side, value in ((Side.BLACK, s.black_value), (Side.RED, s.red_value))
+             for t in value.halves()}
+    marks = sorted(
+        (Mark(t, base.get(t), color.get(t)) for m in s.marks for t in m.parameter.halves()),
+        key=lambda m: m.parameter,
+    )
     if len(marks) != 2 * len(s.marks):
         raise AssertionError("halving collided two schedule parameters")
     return Schedule(
-        marks=tuple(marks),
-        level=s.level + 1,
-        base_points=s.base_points,
-        black_value=s.black_value,
-        red_value=s.red_value,
+        marks=tuple(marks), level=s.level + 1, black_value=s.black_value, red_value=s.red_value
     )

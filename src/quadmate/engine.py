@@ -124,24 +124,27 @@ class DiscreteCurve:
     """Closed polyline on the sphere; samples ascend by parameter from 0.
 
     Sample k sits at parameter ``params[k] / den``, in lowest terms
-    (``gcd(den, *params) == 1``), and position ``points[k]``.  ``marks[j]``
-    is the index of the sample that carries ``schedule.marks[j]``, so the
-    marked indices ascend with the schedule's marks, and the curve's level
+    (``gcd(den, *params) == 1``), and position ``points[k]``.  The curve
+    carries a sample at every parameter of ``schedule.marks``, and its level
     is ``schedule.level``.
     """
 
     params: tuple[int, ...]
     den: int
     points: tuple[SpherePoint, ...]
-    marks: tuple[int, ...]
     schedule: Schedule
 
     @classmethod
-    def from_angles(cls, params, points, marks, schedule: Schedule) -> DiscreteCurve:
+    def from_angles(cls, params, points, schedule: Schedule) -> DiscreteCurve:
         """The curve with samples at the angles ``params``."""
         den = math.lcm(*(t.den for t in params))
-        return cls(tuple(t.num * (den // t.den) for t in params), den,
-                   tuple(points), tuple(marks), schedule)
+        return cls(tuple(t.num * (den // t.den) for t in params), den, tuple(points), schedule)
+
+    @property
+    def marks(self) -> tuple[int, ...]:
+        """The index of the sample that carries each of ``schedule.marks``;
+        they ascend with the schedule's marks."""
+        return tuple(self.index(m.parameter) for m in self.schedule.marks)
 
     def param(self, k: int) -> Angle:
         """The parameter of sample ``k``."""
@@ -235,7 +238,6 @@ def init_embedding(s: Schedule, samples_per_arc: int) -> DiscreteCurve:
     # from a/b to c/d sits at (a d (S - j) + c b j) / (b d S)
     params: list[Angle] = []
     points: list[SpherePoint] = []
-    marks: list[int] = []
     S = samples_per_arc + 1
     for k, m in enumerate(s.marks):
         a, b = m.parameter.num, m.parameter.den
@@ -243,14 +245,13 @@ def init_embedding(s: Schedule, samples_per_arc: int) -> DiscreteCurve:
         c, d = nxt.num, nxt.den
         if k + 1 == len(s.marks):
             c += d
-        marks.append(len(params))
         params.append(m.parameter)
         points.append(_unit_circle(m.parameter))
         for j in range(1, S):
             t = reduce(a * d * (S - j) + c * b * j, b * d * S)
             params.append(t)
             points.append(_unit_circle(t))
-    return DiscreteCurve.from_angles(params, points, marks, s)
+    return DiscreteCurve.from_angles(params, points, s)
 
 
 def read_critical_values(c: DiscreteCurve) -> tuple[SpherePoint, SpherePoint]:
@@ -615,15 +616,11 @@ def _assemble(
     lap0 = [([t >> shift for t in ts], ps) for ts, ps in lap0]
     out_params: list[int] = []
     out_points: list[SpherePoint] = []
-    out_marks: list[int] = []
     for k, sign in enumerate(signs):
         ts, ps = lap0[k % m]
-        out_marks.append(len(out_params))
         out_params += ts if k < m else [t + half for t in ts]
         out_points += ps if sign == 1 else [None if p is None else -p for p in ps]
-    return DiscreteCurve(
-        tuple(out_params), den >> shift, tuple(out_points), tuple(out_marks), s_next
-    )
+    return DiscreteCurve(tuple(out_params), den >> shift, tuple(out_points), s_next)
 
 
 def relabel(c_next: DiscreteCurve) -> dict[int, SpherePoint]:
@@ -834,19 +831,14 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
             if not protected[j]:
                 heappush(heap, (_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j]))
 
-    # every mark survives; its new index counts the survivors before it
+    # every mark survives, so the pruned curve carries the same schedule
     keep = alive * (n // m)
-    marks, at, before = [], 0, 0
-    for i in marked:
-        before += keep[at:i].count(True)
-        marks.append(before)
-        at = i
     # the dropped samples may leave the others a common factor
     params, den = list(compress(c.params, keep)), c.den
     g = math.gcd(den, *params)
     if g > 1:
         params, den = [t // g for t in params], den // g
-    return DiscreteCurve(tuple(params), den, tuple(compress(points, keep)), tuple(marks), c.schedule)
+    return DiscreteCurve(tuple(params), den, tuple(compress(points, keep)), c.schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -854,18 +846,15 @@ def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
 
 
 def _rebase(c: DiscreteCurve, s0: Schedule) -> DiscreteCurve:
-    """Forget plumbing and critical marks, keeping the level-0 marks.
+    """The curve ``c`` carrying the level-0 schedule ``s0`` at its own level.
 
-    The postcritical parameters and the anchor recur at every level, so the
-    rebased curve carries the level-0 schedule at its own level, and the next
-    pullback rebuilds critical-point marks from it; this keeps the schedule
-    size constant across iterations.  Doubling maps those parameters into
-    themselves, so each is a half of a parent mark, which the lift marks;
-    only the marked samples are read.
+    This forgets the plumbing and critical-point marks; the next pullback
+    rebuilds critical-point marks from the level-0 ones, so the schedule
+    size stays constant across iterations.  Doubling maps the postcritical
+    parameters and the anchor into themselves, so each is a half of a parent
+    mark, which the lift marks: ``c`` has a sample at each.
     """
-    kept = {m.parameter for m in s0.marks}
-    marks = tuple(i for i in c.marks if c.param(i) in kept)
-    return replace(c, marks=marks, schedule=replace(s0, level=c.schedule.level))
+    return replace(c, schedule=replace(s0, level=c.schedule.level))
 
 
 def _collision(embedded: dict[int, SpherePoint]) -> tuple[int, int] | None:

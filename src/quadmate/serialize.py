@@ -5,7 +5,9 @@ exact fraction strings, positions are ``repr`` floats (so a round trip through
 the text reproduces every bit), and the point at infinity is the literal
 ``inf``.  ``dump_curve(curve)`` writes the curve's own critical values as the
 ``u`` and ``v`` lines, and ``load_curve(text)`` returns the curve, refusing
-``u`` and ``v`` lines that are not its samples.  Parse failures raise
+``u`` and ``v`` lines that are not its samples.  The ``base`` lines and
+each mark's kind column restate what the mark lines' ids and colours say,
+so the loader refuses any that disagree with them.  Parse failures raise
 :class:`SerializationError` carrying the offending line number.
 
 The writer makes these bytes cheaply.  A parameter's text comes from its
@@ -29,7 +31,7 @@ from .errors import SerializationError
 from .ratmap import SpherePoint
 
 _MAGIC = "quadmate-curve 1"
-_KINDS = {k.value: k for k in MarkKind}
+_KINDS = {k.value for k in MarkKind}
 _SIDES = {s.value: s for s in Side}
 
 
@@ -183,7 +185,9 @@ def _value(r: _Reader, key: str) -> tuple[int, str]:
 
 
 def load_curve(text: str) -> DiscreteCurve:
-    """Parse a curve dump; its ``u`` and ``v`` lines must be its own samples."""
+    """Parse a curve dump; its ``u`` and ``v`` lines must be its own samples,
+    its mark kinds those that the ids and colours give, and its ``base``
+    lines the marks that carry ids, in mark order."""
     r = _Reader(text)
     if r.peek() is None:
         raise SerializationError("empty dump", 1)
@@ -215,6 +219,7 @@ def load_curve(text: str) -> DiscreteCurve:
     if n_marks < 1:  # the anchor mark at 0 is always there
         raise SerializationError(f"bad mark count {n_marks}", line)
     marks: list[Mark] = []
+    based = {t for t, _ in base}
     # the parameters the curve must carry a sample at, with their lines
     needed = []
     for _ in range(n_marks):
@@ -242,10 +247,16 @@ def load_curve(text: str) -> DiscreteCurve:
             color = _SIDES[parts[3]]
         else:
             raise SerializationError(f"unknown mark color {parts[3]!r}", line)
-        marks.append(Mark(t, _KINDS[parts[1]], point_id=pid, color=color))
+        mark = Mark(t, pid, color)
+        # the kind column restates what the id and colour say
+        if parts[1] != mark.kind.value:
+            raise SerializationError(f"mark kind {parts[1]} is not {mark.kind.value}", line)
+        if pid is not None and t not in based:
+            raise SerializationError(f"mark id {pid} at parameter {t} has no base line", line)
+        marks.append(mark)
         needed.append(("mark", t, line))
     needed += [("black value", black_value, black_line), ("red value", red_value, red_line)]
-    # every level marks its base points, each with its own id
+    # the base lines are exactly the marks that carry ids, in mark order
     marked_at = {m.parameter: m.point_id for m in marks}
     ids = set()
     for (t, pid), line in zip(base, base_lines):
@@ -258,34 +269,28 @@ def load_curve(text: str) -> DiscreteCurve:
                 f"base point id {pid} is not the mark's id at parameter {t}", line
             )
         ids.add(pid)
+    schedule = Schedule(tuple(marks), level, black_value, red_value)
+    for got, want, line in zip(base, schedule.base_points, base_lines):
+        if got != want:
+            raise SerializationError(f"base point at parameter {got[0]} is out of mark order", line)
 
     line, value = _value(r, "samples")
     n_samples = _parse_int(value, "sample count", line)
     params: list[Angle] = []
     points: list[SpherePoint] = []
-    marked: list[int] = []
     for _ in range(n_samples):
         line, text = r.next()
         parts = text.split()
         t = _parse_angle(parts[0], line)
         if params and not params[-1] < t:
             raise SerializationError(f"samples out of order at parameter {t}", line)
-        if t in marked_at:
-            marked.append(len(params))
         params.append(t)
         points.append(_parse_point(parts[1:], line))
     line, text = r.next()
     if text != "end":
         raise SerializationError(f"expected 'end', got {text!r}", line)
 
-    schedule = Schedule(
-        marks=tuple(marks),
-        level=level,
-        base_points=tuple(base),
-        black_value=black_value,
-        red_value=red_value,
-    )
-    curve = DiscreteCurve.from_angles(params, points, marked, schedule)
+    curve = DiscreteCurve.from_angles(params, points, schedule)
     for what, t, line in needed:
         try:
             curve.index(t)

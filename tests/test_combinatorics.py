@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from quadmate import combinatorics
-from quadmate.angles import Angle, reduce
+from quadmate.angles import ZERO, Angle, reduce
 from quadmate.combinatorics import (
     _TRACKED_CAP,
     MarkKind,
@@ -157,6 +157,26 @@ class ReferenceRaySystem:
         return False
 
 
+def _verdict_rows():
+    with GATE_VERDICTS.open() as fh:
+        rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+    assert len(rows) == 3486
+    return rows
+
+
+def reference_kind(t, base, black_halves, red_halves) -> MarkKind:
+    """The kind ``pullback_schedule`` gave the half ``t`` when it stored
+    each mark's kind: a half of a critical value first, then a base point,
+    then the anchor; the rest is plumbing."""
+    if t in black_halves or t in red_halves:
+        return MarkKind.CRITICAL_POINT
+    if t in base:
+        return MarkKind.POSTCRITICAL
+    if t == ZERO:
+        return MarkKind.ANCHOR
+    return MarkKind.PLUMBING
+
+
 def sa(side: str, text: str) -> SideAngle:
     return SideAngle(Side(side), Angle.parse(text))
 
@@ -235,6 +255,30 @@ class TestPullbackSchedule:
         doubled = {m.parameter.double() for m in s1.marks}
         assert doubled == {m.parameter for m in s0.marks}
 
+    def test_critical_point_that_is_postcritical(self):
+        # at level 1 of (1/32, 1/2) the red critical point at 1/4 is also
+        # postcritical point 4: the colour decides its kind, the id stays
+        s1 = pullback_schedule(base_schedule(Angle(1, 32), Angle(1, 2)))
+        (mark,) = [m for m in s1.marks if m.parameter == A14]
+        assert (mark.kind, mark.color, mark.point_id) == (MarkKind.CRITICAL_POINT, Side.RED, 4)
+        assert mark.label() == "crit-red"
+
+    def test_kinds_match_the_reference_on_every_accepted_pair(self):
+        # doubling maps the postcritical set into itself, so at every level
+        # the marks that carry ids are the level-0 base points
+        pairs = [(a, b) for a, b, verdict in _verdict_rows() if verdict == "accepted"]
+        assert len(pairs) == 564
+        for alpha, beta in pairs:
+            s0 = s = base_schedule(Angle.parse(alpha), Angle.parse(beta))
+            base = dict(s0.base_points)
+            halves = s0.black_value.halves(), s0.red_value.halves()
+            for _ in range(3):
+                s = pullback_schedule(s)
+                assert s.base_points == s0.base_points
+                for m in s.marks:
+                    assert m.kind is reference_kind(m.parameter, base, *halves)
+                    assert m.point_id == base.get(m.parameter)
+
     def test_base_parameters_keep_their_ids(self):
         s0 = base_schedule(A14, A18)
         s1 = pullback_schedule(s0)
@@ -289,10 +333,7 @@ class TestClosureGuard:
 
 
 def _table_pairs():
-    with GATE_VERDICTS.open() as fh:
-        rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
-    assert len(rows) == 3486
-    return [(alpha, beta) for alpha, beta, _ in rows[::10]]
+    return [(alpha, beta) for alpha, beta, _ in _verdict_rows()[::10]]
 
 
 class TestRayClassOracle:

@@ -288,10 +288,8 @@ def reference_pullback_curve(
     # an arc's last entry is shared with the next arc's head
     out_params: list[Angle] = []
     out_points: list[SpherePoint] = []
-    out_marks: list[int] = []
     for lift, sign in zip(lifts, signs):
         t, p = lift[0]
-        out_marks.append(len(out_params))
         out_params.append(t)
         out_points.append(p if sign == 1 else engine._neg(p))
         out_params += [t for t, _ in lift[1:-1]]
@@ -299,7 +297,7 @@ def reference_pullback_curve(
             out_points += [p for _, p in lift[1:-1]]
         else:
             out_points += [None if p is None else -p for _, p in lift[1:-1]]
-    return DiscreteCurve.from_angles(out_params, out_points, out_marks, s_next)
+    return DiscreteCurve.from_angles(out_params, out_points, s_next)
 
 
 def reference_deviation(prev, cur, nxt) -> float:
@@ -434,13 +432,10 @@ def reference_folded_prune(c, budget, tol):
 
 
 def surviving(c, alive):
-    """The samples of ``c`` whose flag is set, as the same objects, with their marks."""
+    """The samples of ``c`` whose flag is set, as the same objects, with its schedule."""
     kept = [i for i in range(len(c.params)) if alive[i]]
     return DiscreteCurve.from_angles(
-        [c.param(i) for i in kept],
-        [c.points[i] for i in kept],
-        [k for k, i in enumerate(kept) if i in c.marks],
-        c.schedule,
+        [c.param(i) for i in kept], [c.points[i] for i in kept], c.schedule
     )
 
 
@@ -448,23 +443,18 @@ def synthetic_curve(positions, marks):
     """A closed curve through ``positions`` at parameters k/n.
 
     ``marks`` maps a sample index to the postcritical point id it carries, or
-    to None for an unguarded (plumbing) mark.
+    to None for an unguarded mark.
     """
     n = len(positions)
     params = tuple(reduce(k, n) for k in range(n))
     marked = sorted(marks)
-    schedule_marks = tuple(
-        Mark(params[k], MarkKind.PLUMBING if marks[k] is None else MarkKind.POSTCRITICAL, marks[k])
-        for k in marked
-    )
     schedule = Schedule(
-        marks=schedule_marks,
+        marks=tuple(Mark(params[k], marks[k]) for k in marked),
         level=0,
-        base_points=tuple((params[k], marks[k]) for k in marked if marks[k] is not None),
         black_value=params[0],
         red_value=params[0],
     )
-    return DiscreteCurve.from_angles(params, positions, marked, schedule)
+    return DiscreteCurve.from_angles(params, positions, schedule)
 
 
 def assert_same_samples(got, want):
@@ -625,9 +615,7 @@ class TestReadCriticalValues:
             spot if m.point_id in (1, 4) else cmath.exp(2j * cmath.pi * float(m.parameter))
             for m in s0.marks
         )
-        c = DiscreteCurve.from_angles(
-            [m.parameter for m in s0.marks], points, range(len(s0.marks)), s0
-        )
+        c = DiscreteCurve.from_angles([m.parameter for m in s0.marks], points, s0)
         with pytest.raises(StructuralError, match="critical value collision"):
             read_critical_values(c)
 
@@ -982,7 +970,7 @@ class TestBranchFailureContext:
 
     def test_curve_stalling_at_a_critical_point(self):
         # every sample next to the red critical point sits within 1e-9 of it
-        mark = Mark(A18, MarkKind.CRITICAL_POINT, color=Side.RED)
+        mark = Mark(A18, color=Side.RED)
         behind = [(0, 1e10), (1, -1e13), (2, None)]
         lift = [(2, None), (3, 1e12), (4, -1e11j)]
         with pytest.raises(BranchTrackingError) as info:
@@ -1000,7 +988,7 @@ class TestBranchFailureContext:
     def test_handedness_degenerate_on_the_real_axis(self):
         # through 0 along the real axis the fork has no side: the triple
         # product of the two steps and the normal is exactly 0.0
-        mark = Mark(A18, MarkKind.CRITICAL_POINT, color=Side.BLACK)
+        mark = Mark(A18, color=Side.BLACK)
         behind = [(0, 0.5), (1, 0.0)]
         lift = [(1, 0.0), (2, -0.25)]
         for sign in (1, -1):

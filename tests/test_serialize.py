@@ -109,6 +109,13 @@ def worked_example_curves(worked_example_run):
     return _run_curves(*worked_example_run)
 
 
+@pytest.fixture(scope="module")
+def level_four_text():
+    # the worked example's level-4 hooked curve, with no finish tried
+    _, curves = _run(A14, A18, IterateOptions(max_iters=5, tol=0))
+    return dump_curve(curves[4])
+
+
 class TestRoundTrip:
     def test_level_zero(self):
         c = init_embedding(base_schedule(A14, A18), 8)
@@ -168,6 +175,19 @@ class TestRoundTrip:
         back = load_curve(dump_curve(c))
         assert back.marks == c.marks
         assert back.schedule.marks == c.schedule.marks
+
+    def test_critical_mark_with_an_id(self):
+        # at level 1 of (1/32, 1/2) the red critical point at 1/4 is also
+        # postcritical point 4: its line carries both
+        s0 = base_schedule(Angle(1, 32), Angle(1, 2))
+        c0 = init_embedding(s0, 2)
+        F = from_critical_values(*read_critical_values(c0))
+        c1 = pullback_curve(c0, F, pullback_schedule(s0))
+        text = dump_curve(c1)
+        assert "1/4 critical-point 4 red" in text.splitlines()
+        back = load_curve(text)
+        assert back == c1
+        assert dump_curve(back) == text
 
 
 class TestReloadedRun:
@@ -333,6 +353,40 @@ class TestParseErrors:
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
         assert str(err.value) == f"line {at + 1}: base point {message}"
+
+    @pytest.mark.parametrize("kind", ["critical-point", "plumbing"])
+    def test_mark_kind_off_its_id_and_color_rejected(self, level_four_text, kind):
+        # a mark's kind follows from its id and colour; a critical-point kind
+        # with no colour would otherwise load and make the figures raise a
+        # bare AttributeError
+        lines = level_four_text.replace(
+            "1/4 postcritical 1 -", f"1/4 {kind} 1 -"
+        ).splitlines()
+        at = lines.index(f"1/4 {kind} 1 -")
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: mark kind {kind} is not postcritical"
+
+    def test_mark_without_base_line_rejected(self, level_four_text):
+        # the base lines name every mark that carries an id; without one,
+        # relabel would miss point 2 and the Newton finish raise a bare KeyError
+        lines = level_four_text.splitlines()
+        lines.remove("base 1/2 2")
+        at = lines.index("1/2 postcritical 2 -")
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: mark id 2 at parameter 1/2 has no base line"
+
+    def test_base_lines_out_of_mark_order_rejected(self):
+        # the base lines restate the marks that carry ids, in mark order, so
+        # a reloaded curve dumps them as they were read
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c).splitlines()
+        at = lines.index("base 1/4 1")
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: base point at parameter 1/2 is out of mark order"
 
     def test_truncated_file(self, curve_with_infinity):
         lines = dump_curve(curve_with_infinity).splitlines()
