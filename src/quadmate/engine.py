@@ -73,13 +73,10 @@ _COLLAPSE_TOL = 1e-8
 
 # a chain's sign is accepted on marked-point continuity alone when the better
 # candidate's score beats the other's by _ISOTOPY_RATIO; otherwise the local
-# handedness read decides.  A score is a chordal distance, at most 2, so for
-# finite scores the ratio already bounds the better one by 1 (up to
-# roundoff).  What _ISOTOPY_DECISIVE does is refuse a chain with no
-# postcritical mark, which scores inf for both signs: inf <= 0.5 * inf holds,
-# inf <= 1.0 does not.  Without it the sign of u flips at the first pullback
+# handedness read decides.  A chain with no postcritical mark scores inf for
+# both signs, and inf <= 0.5 * inf holds, so _arc_signs refuses an infinite
+# score explicitly.  Without that the sign of u flips at the first pullback
 # of (1/10, 19/20).  ROADMAP item 5 plans to score such chains by isotopy.
-_ISOTOPY_DECISIVE = 1.0
 _ISOTOPY_RATIO = 0.5
 
 # The Newton finish (see iterate and finish) is tried once the
@@ -548,7 +545,8 @@ def _arc_signs(c: DiscreteCurve, lifts: list[list], s_next: Schedule) -> list[in
     signs: list[int] = [0] * len(arcs)
     for ci, (start, stop) in enumerate(zip(chain_starts, chain_stops)):
         sp, sm = chain_score(ci, 1), chain_score(ci, -1)
-        if min(sp, sm) <= _ISOTOPY_DECISIVE and min(sp, sm) <= _ISOTOPY_RATIO * max(sp, sm):
+        # whether a chain has a postcritical mark does not depend on its sign
+        if sp < math.inf and min(sp, sm) <= _ISOTOPY_RATIO * max(sp, sm):
             lead = 1 if sp <= sm else -1
         elif ci == 0:
             lead = 1 if chordal(arcs[0][0][1], 1.0 + 0.0j) <= chordal(

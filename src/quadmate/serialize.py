@@ -5,9 +5,10 @@ exact fraction strings, positions are ``repr`` floats (so a round trip through
 the text reproduces every bit), and the point at infinity is the literal
 ``inf``.  ``dump_curve(curve)`` writes the curve's own critical values as the
 ``u`` and ``v`` lines, and ``load_curve(text)`` returns the curve, refusing
-``u`` and ``v`` lines that are not its samples.  The ``base`` lines and
-each mark's kind column restate what the mark lines' ids and colours say,
-so the loader refuses any that disagree with them.  Parse failures raise
+``u`` and ``v`` lines that are not its samples.  The ``base`` and mark
+lines restate the schedule, which the critical values, the level and the
+mark count fix: the loader rebuilds it and refuses any line that is not
+the one the writer prints for it.  Parse failures raise
 :class:`SerializationError` carrying the offending line number.
 
 The writer makes these bytes cheaply.  A parameter's text comes from its
@@ -22,17 +23,16 @@ only time.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import gcd, isfinite
 
-from .angles import ZERO, Angle
-from .combinatorics import Mark, MarkKind, Schedule, Side
+from .angles import Angle
+from .combinatorics import Mark, Schedule, base_schedule, pullback_schedule
 from .engine import DiscreteCurve, RunReport
-from .errors import SerializationError
+from .errors import QuadmateError, SerializationError
 from .ratmap import SpherePoint
 
 _MAGIC = "quadmate-curve 1"
-_KINDS = {k.value for k in MarkKind}
-_SIDES = {s.value: s for s in Side}
 
 
 def _fmt_point(z: SpherePoint) -> str:
@@ -80,6 +80,16 @@ def _sample_lines(c: DiscreteCurve) -> list[str]:
     return lines
 
 
+def _base_lines(s: Schedule) -> list[str]:
+    return [f"base {t} {pid}" for t, pid in s.base_points]
+
+
+def _mark_line(m: Mark) -> str:
+    pid = "-" if m.point_id is None else str(m.point_id)
+    color = "-" if m.color is None else m.color.value
+    return f"{m.parameter} {m.kind.value} {pid} {color}"
+
+
 def dump_curve(c: DiscreteCurve) -> str:
     """Serialize a curve to text.
 
@@ -100,13 +110,9 @@ def dump_curve(c: DiscreteCurve) -> str:
         f"black-value {s.black_value}",
         f"red-value {s.red_value}",
     ]
-    for t, pid in s.base_points:
-        lines.append(f"base {t} {pid}")
+    lines += _base_lines(s)
     lines.append(f"marks {len(s.marks)}")
-    for m in s.marks:
-        pid = "-" if m.point_id is None else str(m.point_id)
-        color = "-" if m.color is None else m.color.value
-        lines.append(f"{m.parameter} {m.kind.value} {pid} {color}")
+    lines += map(_mark_line, s.marks)
     lines.append(f"samples {len(c.params)}")
     lines += _sample_lines(c)
     lines.append("end")
@@ -184,10 +190,23 @@ def _value(r: _Reader, key: str) -> tuple[int, str]:
     return line, rest[0]
 
 
+def _expect(r: _Reader, want: str) -> int:
+    """Read the line ``want``, up to whitespace; return its number."""
+    line, text = r.next()
+    if text.split() != want.split():
+        raise SerializationError(f"expected {want!r}, got {text!r}", line)
+    return line
+
+
 def load_curve(text: str) -> DiscreteCurve:
-    """Parse a curve dump; its ``u`` and ``v`` lines must be its own samples,
-    its mark kinds those that the ids and colours give, and its ``base``
-    lines the marks that carry ids, in mark order."""
+    """Parse a curve dump; its ``u`` and ``v`` lines must be its own samples.
+
+    The schedule is rebuilt, not read: ``base_schedule`` of the critical
+    values at level ``level - k``, pulled back k times, where the mark count
+    is its level-0 count doubled k times.  The ``base`` and mark lines must
+    be the lines :func:`dump_curve` writes for it, up to whitespace, and each
+    mark needs a sample.
+    """
     r = _Reader(text)
     if r.peek() is None:
         raise SerializationError("empty dump", 1)
@@ -200,79 +219,33 @@ def load_curve(text: str) -> DiscreteCurve:
     u = _parse_point(rest, u_line)
     v_line, rest = _keyed(r, "v")
     v = _parse_point(rest, v_line)
-    black_line, value = _value(r, "black-value")
-    black_value = _parse_angle(value, black_line)
-    red_line, value = _value(r, "red-value")
-    red_value = _parse_angle(value, red_line)
-
-    base: list[tuple[Angle, int]] = []
-    base_lines = []
-    while (nxt := r.peek()) is not None and nxt.startswith("base "):
-        line, rest = _keyed(r, "base")
-        if len(rest) != 2:
-            raise SerializationError("base line needs a parameter and a point id", line)
-        base.append((_parse_angle(rest[0], line), _parse_int(rest[1], "point id", line)))
-        base_lines.append(line)
+    line, value = _value(r, "black-value")
+    black_value = _parse_angle(value, line)
+    line, value = _value(r, "red-value")
+    red_value = _parse_angle(value, line)
+    try:
+        s0 = base_schedule(black_value, red_value.mirror())
+    except QuadmateError as exc:
+        raise SerializationError(
+            f"no schedule for critical values {black_value} and {red_value}: {exc}", line
+        ) from exc
+    for want in _base_lines(s0):
+        _expect(r, want)
 
     line, value = _value(r, "marks")
     n_marks = _parse_int(value, "mark count", line)
-    if n_marks < 1:  # the anchor mark at 0 is always there
-        raise SerializationError(f"bad mark count {n_marks}", line)
-    marks: list[Mark] = []
-    based = {t for t, _ in base}
-    # the parameters the curve must carry a sample at, with their lines
-    needed = []
-    for _ in range(n_marks):
-        line, text = r.next()
-        parts = text.split()
-        if len(parts) != 4:
-            raise SerializationError(
-                "mark line needs parameter, kind, point id and color", line
-            )
-        t = _parse_angle(parts[0], line)
-        # a schedule's marks ascend from 0, which also keeps the curve's
-        # marked indices in step with them
-        if not marks and t != ZERO:
-            raise SerializationError(f"first mark at parameter {t}, not 0", line)
-        if marks and not marks[-1].parameter < t:
-            raise SerializationError(
-                f"mark at parameter {t} does not ascend past {marks[-1].parameter}", line
-            )
-        if parts[1] not in _KINDS:
-            raise SerializationError(f"unknown mark kind {parts[1]!r}", line)
-        pid = None if parts[2] == "-" else _parse_int(parts[2], "point id", line)
-        if parts[3] == "-":
-            color = None
-        elif parts[3] in _SIDES:
-            color = _SIDES[parts[3]]
-        else:
-            raise SerializationError(f"unknown mark color {parts[3]!r}", line)
-        mark = Mark(t, pid, color)
-        # the kind column restates what the id and colour say
-        if parts[1] != mark.kind.value:
-            raise SerializationError(f"mark kind {parts[1]} is not {mark.kind.value}", line)
-        if pid is not None and t not in based:
-            raise SerializationError(f"mark id {pid} at parameter {t} has no base line", line)
-        marks.append(mark)
-        needed.append(("mark", t, line))
-    needed += [("black value", black_value, black_line), ("red value", red_value, red_line)]
-    # the base lines are exactly the marks that carry ids, in mark order
-    marked_at = {m.parameter: m.point_id for m in marks}
-    ids = set()
-    for (t, pid), line in zip(base, base_lines):
-        if t not in marked_at:
-            raise SerializationError(f"base point at parameter {t} is not a mark", line)
-        if pid in ids:
-            raise SerializationError(f"base point id {pid} repeats", line)
-        if pid != marked_at[t]:
-            raise SerializationError(
-                f"base point id {pid} is not the mark's id at parameter {t}", line
-            )
-        ids.add(pid)
-    schedule = Schedule(tuple(marks), level, black_value, red_value)
-    for got, want, line in zip(base, schedule.base_points, base_lines):
-        if got != want:
-            raise SerializationError(f"base point at parameter {got[0]} is out of mark order", line)
+    n0 = len(s0.marks)
+    k = (n_marks // n0).bit_length() - 1
+    if not 0 <= k <= level or n_marks != n0 << k:
+        raise SerializationError(
+            f"mark count {n_marks} is not {n0} << k with 0 <= k <= {level}", line
+        )
+    if n_marks > len(r.lines) - r.at:  # builds no schedule for a count the text cannot hold
+        raise SerializationError(f"mark count {n_marks} exceeds the lines that follow", line)
+    schedule = replace(s0, level=level - k)
+    for _ in range(k):
+        schedule = pullback_schedule(schedule)
+    mark_lines = [_expect(r, _mark_line(m)) for m in schedule.marks]
 
     line, value = _value(r, "samples")
     n_samples = _parse_int(value, "sample count", line)
@@ -286,16 +259,17 @@ def load_curve(text: str) -> DiscreteCurve:
             raise SerializationError(f"samples out of order at parameter {t}", line)
         params.append(t)
         points.append(_parse_point(parts[1:], line))
-    line, text = r.next()
-    if text != "end":
-        raise SerializationError(f"expected 'end', got {text!r}", line)
+    _expect(r, "end")
 
     curve = DiscreteCurve.from_angles(params, points, schedule)
-    for what, t, line in needed:
+    # the critical values are marks at every level, so they have samples too
+    for m, line in zip(schedule.marks, mark_lines):
         try:
-            curve.index(t)
+            curve.index(m.parameter)
         except KeyError:
-            raise SerializationError(f"{what} at parameter {t} has no sample", line) from None
+            raise SerializationError(
+                f"mark at parameter {m.parameter} has no sample", line
+            ) from None
     for what, t, z, line in (("u", black_value, u, u_line), ("v", red_value, v, v_line)):
         if curve.point_at(t) != z:
             raise SerializationError(f"{what} is not the sample at parameter {t}", line)

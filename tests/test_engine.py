@@ -246,9 +246,9 @@ def reference_pullback_curve(
     signs: list[int] = [0] * len(lifts)
     for ci, (start, stop) in enumerate(zip(chain_starts, chain_stops)):
         sp, sm = chain_score(ci, 1), chain_score(ci, -1)
-        if min(sp, sm) <= engine._ISOTOPY_DECISIVE and min(sp, sm) <= (
-            engine._ISOTOPY_RATIO * max(sp, sm)
-        ):
+        # the rule as first written, with a bound of 1 on the better score
+        # that refuses the inf of a chain with no postcritical mark
+        if min(sp, sm) <= 1.0 and min(sp, sm) <= engine._ISOTOPY_RATIO * max(sp, sm):
             lead = 1 if sp <= sm else -1
         elif ci == 0:
             lead = 1 if chordal(lifts[0][0][1], 1.0 + 0.0j) <= chordal(

@@ -1,5 +1,6 @@
 """Curve dump round-trips and parse diagnostics."""
 
+import time
 from dataclasses import astuple, replace
 
 import pytest
@@ -149,6 +150,15 @@ class TestRoundTrip:
         assert text.splitlines()[2:4] == reference_map_lines(c)
         assert dump_curve(load_curve(text)) == text
 
+    def test_restated_lines_read_up_to_whitespace(self, curve_with_infinity):
+        c = curve_with_infinity
+        text = dump_curve(c)
+        spaced = text.replace("base 0 5\n", " base  0\t5 \n").replace(
+            "1/8 critical-point - black\n", "1/8  critical-point -   black\n"
+        )
+        assert spaced != text
+        assert load_curve(spaced) == c
+
     def test_infinity_survives(self, curve_with_infinity):
         c = curve_with_infinity
         back = load_curve(dump_curve(c))
@@ -187,6 +197,21 @@ class TestRoundTrip:
         assert "1/4 critical-point 4 red" in text.splitlines()
         back = load_curve(text)
         assert back == c1
+        assert dump_curve(back) == text
+
+
+    def test_curve_pulled_back_twice_without_rebase(self):
+        # the level-2 schedule is the level-0 one pulled back twice: 20 marks
+        s0 = base_schedule(A14, A18)
+        c = init_embedding(s0, 8)
+        for _ in range(2):
+            F = from_critical_values(*read_critical_values(c))
+            c = pullback_curve(c, F, pullback_schedule(c.schedule))
+        assert (c.schedule.level, len(c.schedule.marks)) == (2, 20)
+        text = dump_curve(c)
+        back = load_curve(text)
+        assert back == c
+        assert _bits(back.points) == _bits(c.points)
         assert dump_curve(back) == text
 
 
@@ -267,8 +292,13 @@ class TestParseErrors:
 
     def test_edited_kind_field_named(self, curve_with_infinity):
         text = dump_curve(curve_with_infinity).replace("critical-point", "critcal-point", 1)
-        with pytest.raises(SerializationError, match="kind"):
+        at = text.splitlines().index("1/8 critcal-point - black")
+        with pytest.raises(SerializationError) as err:
             load_curve(text)
+        assert str(err.value) == (
+            f"line {at + 1}: expected '1/8 critical-point - black', "
+            "got '1/8 critcal-point - black'"
+        )
 
     def test_error_carries_line_number(self, curve_with_infinity):
         lines = dump_curve(curve_with_infinity).splitlines()
@@ -317,65 +347,66 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("t", ["1/3", "1/5"])
     def test_base_point_off_the_marks_rejected(self, t):
-        # every schedule marks its base points; on the level-0 curve at the
-        # default density 1/3 is a sample and 1/5 is not, and either base
-        # line would otherwise load and make the Newton finish, or relabel,
-        # raise a bare KeyError
+        # the base lines are the level-0 schedule's, so an extra one stands
+        # where the mark count is due; on the level-0 curve at the default
+        # density 1/3 is a sample and 1/5 is not, and either base line would
+        # otherwise make the Newton finish, or relabel, raise a bare KeyError
         c = init_embedding(base_schedule(A14, A18), IterateOptions().samples_per_arc)
         lines = dump_curve(c).splitlines()
         at = lines.index("marks 5")
         lines.insert(at, f"base {t} 9")
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
-        assert str(err.value) == f"line {at + 1}: base point at parameter {t} is not a mark"
+        assert str(err.value) == f"line {at + 1}: expected 'marks', got 'base'"
 
     @pytest.mark.parametrize(
-        "edits, refused, message",
+        "edits, refused, want",
         [
-            ({"base 1/4 1": "base 1/4 2"}, "base 1/4 2",
-             "id 2 is not the mark's id at parameter 1/4"),
-            ({"base 1/4 1": "base 1/4 9"}, "base 1/4 9",
-             "id 9 is not the mark's id at parameter 1/4"),
-            ({"1/4 postcritical 1 -": "1/4 postcritical 7 -"}, "base 1/4 1",
-             "id 1 is not the mark's id at parameter 1/4"),
+            ({"base 1/4 1": "base 1/4 2"}, "base 1/4 2", "base 1/4 1"),
+            ({"base 1/4 1": "base 1/4 9"}, "base 1/4 9", "base 1/4 1"),
+            ({"1/4 postcritical 1 -": "1/4 postcritical 7 -"}, "1/4 postcritical 7 -",
+             "1/4 postcritical 1 -"),
             # the marks repeat the id too
             ({"base 1/2 2": "base 1/2 1", "1/2 postcritical 2 -": "1/2 postcritical 1 -"},
-             "base 1/2 1", "id 1 repeats"),
+             "base 1/2 1", "base 1/2 2"),
         ],
         ids=["repeated", "unknown", "mark-differs", "marks-repeat"],
     )
-    def test_base_point_id_off_its_mark_rejected(self, edits, refused, message):
-        # each would otherwise load, and relabel would read the postcritical
-        # set with a point missing or misnamed
+    def test_base_point_id_off_its_mark_rejected(self, edits, refused, want):
+        # each would otherwise let relabel read the postcritical set with a
+        # point missing or misnamed; the ids are those of the rebuilt schedule
         c = init_embedding(base_schedule(A14, A18), 2)
         lines = [edits.get(line, line) for line in dump_curve(c).splitlines()]
         at = lines.index(refused)
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
-        assert str(err.value) == f"line {at + 1}: base point {message}"
+        assert str(err.value) == f"line {at + 1}: expected {want!r}, got {refused!r}"
 
     @pytest.mark.parametrize("kind", ["critical-point", "plumbing"])
     def test_mark_kind_off_its_id_and_color_rejected(self, level_four_text, kind):
         # a mark's kind follows from its id and colour; a critical-point kind
-        # with no colour would otherwise load and make the figures raise a
-        # bare AttributeError
+        # with no colour would otherwise make the figures raise a bare
+        # AttributeError
         lines = level_four_text.replace(
             "1/4 postcritical 1 -", f"1/4 {kind} 1 -"
         ).splitlines()
         at = lines.index(f"1/4 {kind} 1 -")
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
-        assert str(err.value) == f"line {at + 1}: mark kind {kind} is not postcritical"
+        assert str(err.value) == (
+            f"line {at + 1}: expected '1/4 postcritical 1 -', got '1/4 {kind} 1 -'"
+        )
 
     def test_mark_without_base_line_rejected(self, level_four_text):
         # the base lines name every mark that carries an id; without one,
-        # relabel would miss point 2 and the Newton finish raise a bare KeyError
+        # relabel would miss point 2 and the Newton finish raise a bare
+        # KeyError.  The next base line stands where the dropped one is due.
         lines = level_four_text.splitlines()
         lines.remove("base 1/2 2")
-        at = lines.index("1/2 postcritical 2 -")
+        at = lines.index("base 3/4 3")
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
-        assert str(err.value) == f"line {at + 1}: mark id 2 at parameter 1/2 has no base line"
+        assert str(err.value) == f"line {at + 1}: expected 'base 1/2 2', got 'base 3/4 3'"
 
     def test_base_lines_out_of_mark_order_rejected(self):
         # the base lines restate the marks that carry ids, in mark order, so
@@ -386,7 +417,82 @@ class TestParseErrors:
         lines[at], lines[at + 1] = lines[at + 1], lines[at]
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
-        assert str(err.value) == f"line {at + 1}: base point at parameter 1/2 is out of mark order"
+        assert str(err.value) == f"line {at + 1}: expected 'base 1/4 1', got 'base 1/2 2'"
+
+    @pytest.mark.parametrize(
+        "edits, refused, want",
+        [
+            # a colour on a mark that is not a half of its side's value
+            ({"1/2 postcritical 2 -": "1/2 critical-point 2 red"},
+             "1/2 critical-point 2 red", "1/2 postcritical 2 -"),
+            # a postcritical point dropped from both the base and the mark lines
+            ({"base 1/2 2": None, "1/2 postcritical 2 -": "1/2 plumbing - -"},
+             "base 3/4 3", "base 1/2 2"),
+            # ids 1 and 2 swapped on the base lines and the mark lines alike
+            ({"base 1/4 1": "base 1/4 2", "base 1/2 2": "base 1/2 1",
+              "1/4 postcritical 1 -": "1/4 postcritical 2 -",
+              "1/2 postcritical 2 -": "1/2 postcritical 1 -"},
+             "base 1/4 2", "base 1/4 1"),
+        ],
+        ids=["colour-off-a-half", "point-dropped", "ids-swapped"],
+    )
+    def test_consistent_edit_off_the_schedule_rejected(self, level_four_text, edits, refused,
+                                                         want):
+        # each edit agrees with itself, so no per-field check sees it, and
+        # the loaded curve would label, relabel or rebase wrongly (the
+        # dropped point makes the Newton finish raise a bare KeyError)
+        lines = [edits.get(line, line) for line in level_four_text.splitlines()]
+        lines = [line for line in lines if line is not None]
+        at = lines.index(refused)
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == f"line {at + 1}: expected {want!r}, got {refused!r}"
+
+    @pytest.mark.parametrize("count", ["0", "-5", "15", "160"])
+    def test_mark_count_off_the_schedule_rejected(self, level_four_text, count):
+        # a level-0 schedule has 5 marks, pulled back at most 4 times here
+        lines = level_four_text.splitlines()
+        at = lines.index("marks 5")
+        lines[at] = f"marks {count}"
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == (
+            f"line {at + 1}: mark count {count} is not 5 << k with 0 <= k <= 4"
+        )
+
+    def test_huge_mark_count_refused_before_any_schedule(self):
+        # 5 << 40 marks fit level 60, but not the text: no schedule is built
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c).splitlines()
+        lines[lines.index("level 0")] = "level 60"
+        at = lines.index("marks 5")
+        lines[at] = "marks 5497558138880"
+        start = time.perf_counter()
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == (
+            f"line {at + 1}: mark count 5497558138880 exceeds the lines that follow"
+        )
+
+    @pytest.mark.parametrize(
+        "red, reason",
+        [
+            ("1/4", "critical values identified: both critical values sit at curve parameter 1/4"),
+            ("1/3", "both angles must be strictly preperiodic"),
+        ],
+        ids=["identified", "periodic"],
+    )
+    def test_critical_values_without_a_schedule_rejected(self, red, reason):
+        c = init_embedding(base_schedule(A14, A18), 2)
+        lines = dump_curve(c).splitlines()
+        at = lines.index("red-value 7/8")
+        lines[at] = f"red-value {red}"
+        with pytest.raises(SerializationError) as err:
+            load_curve("\n".join(lines))
+        assert str(err.value) == (
+            f"line {at + 1}: no schedule for critical values 1/4 and {red}: {reason}"
+        )
 
     def test_truncated_file(self, curve_with_infinity):
         lines = dump_curve(curve_with_infinity).splitlines()
@@ -445,27 +551,26 @@ class TestParseErrors:
 
     def test_repeated_mark_rejected(self):
         # a repeated mark line would leave the curve with fewer marked
-        # samples than its schedule has marks
+        # samples than its schedule has marks; a level-0 schedule has 5
         c = init_embedding(base_schedule(A14, A18), 2)
         lines = dump_curve(c).splitlines()
-        lines[lines.index("marks 5")] = "marks 6"
+        count = lines.index("marks 5")
+        lines[count] = "marks 6"
         at = lines.index("1/2 postcritical 2 -")
         lines.insert(at, lines[at])
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
-        assert str(err.value) == (
-            f"line {at + 2}: mark at parameter 1/2 does not ascend past 1/2"
-        )
+        assert str(err.value) == f"line {count + 1}: mark count 6 is not 5 << k with 0 <= k <= 0"
 
     def test_marks_start_at_the_anchor(self):
         c = init_embedding(base_schedule(A14, A18), 2)
         lines = dump_curve(c).splitlines()
-        lines[lines.index("marks 5")] = "marks 4"
+        count = lines.index("marks 5")
+        lines[count] = "marks 4"
         lines.remove("0 postcritical 5 -")
-        at = lines.index("1/4 postcritical 1 -")
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
-        assert str(err.value) == f"line {at + 1}: first mark at parameter 1/4, not 0"
+        assert str(err.value) == f"line {count + 1}: mark count 4 is not 5 << k with 0 <= k <= 0"
 
     def test_no_marks_rejected(self):
         c = init_embedding(base_schedule(A14, A18), 2)
@@ -474,16 +579,18 @@ class TestParseErrors:
         lines[at : at + 6] = ["marks 0"]
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
-        assert str(err.value) == f"line {at + 1}: bad mark count 0"
+        assert str(err.value) == f"line {at + 1}: mark count 0 is not 5 << k with 0 <= k <= 0"
 
     def test_value_without_sample_rejected(self):
+        # the critical values fix the schedule: (1/4, 999/1000) has 106
+        # postcritical points, and the anchor's id is the first base line
         c = init_embedding(base_schedule(A14, A18), 2)
         lines = dump_curve(c).splitlines()
-        at = lines.index("red-value 7/8")
-        lines[at] = "red-value 1/1000"
+        lines[lines.index("red-value 7/8")] = "red-value 1/1000"
+        at = lines.index("base 0 5")
         with pytest.raises(SerializationError) as err:
             load_curve("\n".join(lines))
-        assert str(err.value) == f"line {at + 1}: red value at parameter 1/1000 has no sample"
+        assert str(err.value) == f"line {at + 1}: expected 'base 0 106', got 'base 0 5'"
 
 
 class TestReportFormat:
