@@ -26,11 +26,10 @@ passes.  A refused finish leaves the pullback to continue unchanged.
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain, compress
+from itertools import chain
 
 from .angles import ZERO, Angle, reduce
 from .combinatorics import (
@@ -46,6 +45,7 @@ from .combinatorics import (
 from .errors import BranchTrackingError, NumericError, StructuralError
 from .lamination import mateable_detail
 from .newton import _pinned, solve_relations
+from .pruning import prune
 from .ratmap import (
     NormalizedQuadratic,
     SpherePoint,
@@ -58,12 +58,15 @@ from .ratmap import (
 # how distinguishable the two branch candidates must be before a step is
 # accepted without refinement
 _AMBIGUITY_RATIO = 0.8
+# the lift's fast path accepts a raw distance ratio up to this: the chordal
+# ratio is the raw one times at most five roundings (1 + 2^-53 each), so it
+# then stays at or below _AMBIGUITY_RATIO
+_FAST_RATIO = _AMBIGUITY_RATIO * (1 - 2.0**-50)
 _MAX_REFINE = 48
 _DENSIFY_STEPS = 8  # samples _densify adds toward each critical passage
 _PARAM_BITS = _MAX_REFINE + _DENSIFY_STEPS  # the most halvings of one lifted parent step
 _STITCH_TOL = 1e-6
 _CRITICAL_COLLISION_TOL = 1e-13
-_MARK_WINDOW = 8  # samples on each side of a mark that prune leaves alone
 # a prune is refused when it sweeps this close to a postcritical point
 _PRUNE_TOL = 1e-6
 
@@ -325,6 +328,55 @@ def _lift_arc(
     denominator; a failed step raises :class:`BranchTrackingError` with its
     parameter's numerator.
 
+    Most steps take a fast path that makes the same choice as the full step
+    (:func:`_lift_step`).  When ``root`` and the previous point both lie in
+    1e-3 < |z| < 1e3, no critical-value passage or critical-point exit can
+    fire, and the chordal distances of the two candidates are the raw ones,
+    ``abs(root - prev)`` and ``abs(root + prev)``, over one shared
+    denominator.  So when the raw ratio is at most ``_FAST_RATIO``, the
+    chordal ratio is at most ``_AMBIGUITY_RATIO`` and the nearer raw
+    candidate is the nearer chordal one.  |prev| is carried from step to step.
+    """
+    t0, _ = entries[0]
+    roots = F.roots([z for _, z in entries])
+    prev = roots[0]
+    r = math.inf if prev is None else abs(prev)
+    out = [(t0, prev)]
+    append, ratio = out.append, _FAST_RATIO
+    steps = zip(entries, roots)
+    next(steps)
+    for (t1, z1), plus in steps:
+        if plus is None:
+            rp = math.inf
+        else:
+            rp = abs(plus)
+            if 1e-3 < rp < 1e3 and 1e-3 < r < 1e3:
+                dp, dm = abs(plus - prev), abs(plus + prev)
+                if dp <= dm:
+                    if dp <= ratio * dm:
+                        prev, r = plus, rp
+                        append((t1, plus))
+                        continue
+                elif dm <= ratio * dp:
+                    prev, r = -plus, rp
+                    append((t1, prev))
+                    continue
+        # every candidate is plus or -plus, so |prev| is |plus| from here on
+        prev, r = _lift_step(F, out, prev, t1, z1, plus), rp
+    return out
+
+
+def _lift_step(
+    F: NormalizedQuadratic,
+    out: list[tuple[int, SpherePoint]],
+    prev: SpherePoint,
+    t1: int,
+    z1: SpherePoint,
+    plus: SpherePoint,
+) -> SpherePoint:
+    """The full lift step from ``out[-1]``, the lift ``prev``, to ``z1`` at ``t1``.
+
+    Appends the lifted samples, refined ones first, and returns the last.
     The candidates are exact negatives, so their chordal distances to the
     previous point share one denominator.  They are formed once, as the
     same quotients in the same order that ``chordal`` forms, so they are
@@ -332,21 +384,12 @@ def _lift_arc(
     product that overflows, goes through ``chordal`` itself.
     """
     inf = math.inf
-    t0, _ = entries[0]
-    roots = F.roots([z for _, z in entries])
-    prev = roots[0]
-    out = [(t0, prev)]
-    # refined steps still to take, the next one last: (parameter, parent
-    # position, principal root, refinements left)
-    todo: list[tuple[int, SpherePoint, SpherePoint, int]] = []
-    k = 0
-    while True:
-        if todo:
-            t1, z1, plus, depth = todo.pop()
-        elif (k := k + 1) < len(entries):
-            (t1, z1), plus, depth = entries[k], roots[k], _MAX_REFINE
-        else:
-            return out
+    t0 = out[-1][0]
+    # steps still to take, the next one last: (parameter, parent position,
+    # principal root, refinements left)
+    todo: list[tuple[int, SpherePoint, SpherePoint, int]] = [(t1, z1, plus, _MAX_REFINE)]
+    while todo:
+        t1, z1, plus, depth = todo.pop()
         minus = None if plus is None else -plus
         if plus is not None and prev is not None:
             split, r = abs(plus - minus), abs(prev)
@@ -388,6 +431,7 @@ def _lift_arc(
             continue
         out.append((t1, prev))
         t0 = t1
+    return prev
 
 
 def _densify(
@@ -624,219 +668,6 @@ def _assemble(
 def relabel(c_next: DiscreteCurve) -> dict[int, SpherePoint]:
     """The embedding of the postcritical set read off the lifted curve."""
     return {pid: c_next.point_at(t) for t, pid in c_next.schedule.base_points}
-
-
-# ---------------------------------------------------------------------------
-# pruning
-
-
-def _closest_on_triangle(p, a, b, c) -> tuple[float, float, float]:
-    # closest-point-on-triangle (Ericson); all args are R^3 tuples
-    def sub(x, y):
-        return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
-
-    def dot(x, y):
-        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-    ab, ac, ap = sub(b, a), sub(c, a), sub(p, a)
-    d1, d2 = dot(ab, ap), dot(ac, ap)
-    if d1 <= 0 and d2 <= 0:
-        return a
-    bp = sub(p, b)
-    d3, d4 = dot(ab, bp), dot(ac, bp)
-    if d3 >= 0 and d4 <= d3:
-        return b
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        if d1 == d3:  # a and b coincide to roundoff
-            return a
-        t = d1 / (d1 - d3)
-        return tuple(a[i] + t * ab[i] for i in range(3))
-    cp = sub(p, c)
-    d5, d6 = dot(ab, cp), dot(ac, cp)
-    if d6 >= 0 and d5 <= d6:
-        return c
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        if d2 == d6:  # a and c coincide to roundoff
-            return a
-        t = d2 / (d2 - d6)
-        return tuple(a[i] + t * ac[i] for i in range(3))
-    va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        edge = (d4 - d3) + (d5 - d6)
-        if edge == 0:  # b and c coincide to roundoff
-            return b
-        t = (d4 - d3) / edge
-        return tuple(b[i] + t * (c[i] - b[i]) for i in range(3))
-    total = va + vb + vc
-    if total == 0:  # degenerate sliver; every vertex is as close as any
-        return a
-    denom = 1.0 / total
-    s, t = vb * denom, vc * denom
-    return tuple(a[i] + ab[i] * s + ac[i] * t for i in range(3))
-
-
-def _sweep_clearance(g, a, b, c) -> float:
-    """Clearance between a guarded sphere point and the swept triangle.
-
-    The polyline lives on the sphere, so the region swept by replacing sample
-    ``b`` with the segment a-c is the radial projection of the flat triangle;
-    measuring against the projection keeps the test honest for long chords,
-    whose flat triangles sag well inside the sphere.
-    """
-    q = _closest_on_triangle(g, a, b, c)
-    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2])
-    if n < 0.5:
-        return 0.0  # chord passes near the center: projection subtends a huge arc
-    return math.dist(g, tuple(x / n for x in q))
-
-
-def _deviation(prev, cur, nxt) -> float:
-    """How far sample ``cur`` sticks out from the chord of its neighbors.
-
-    The distance in R^3 from ``cur`` to the segment ``prev``-``nxt``, taken
-    as ``math.hypot`` of the differences to the clamped chord point: bit for
-    bit what ``math.dist`` gives, without building two tuples.
-    """
-    px, py, pz = prev
-    cx, cy, cz = cur
-    ex, ey, ez = nxt[0] - px, nxt[1] - py, nxt[2] - pz
-    den = ex * ex + ey * ey + ez * ez
-    if den == 0:
-        return math.hypot(cx - px, cy - py, cz - pz)
-    t = ((cx - px) * ex + (cy - py) * ey + (cz - pz) * ez) / den
-    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-    return math.hypot(cx - (px + t * ex), cy - (py + t * ey), cz - (pz + t * ez))
-
-
-def prune(c: DiscreteCurve, budget: int, tol: float) -> DiscreteCurve:
-    """Drop plumbing samples while the polyline stays clear of the marked set.
-
-    Samples are removed greedily by smallest deviation, the distance in R^3
-    from a sample's sphere point to the chord between its neighbors' (ties
-    go to the lower index); a removal is refused when the swept triangle
-    comes within ``tol`` of an embedded postcritical position, so the
-    homotopy type rel those points is preserved, and a refused sample is
-    retried once a neighbor is removed.  Marked samples are never removed,
-    and neither is a window of ``_MARK_WINDOW`` samples on each side of
-    every mark: the next pullback reads fork directions from the samples
-    adjacent to the critical-value marks, so those must stay genuine rather
-    than interpolated.  Raises ValueError when ``budget`` is below the
-    marked-sample count.
-
-    A symmetric curve is pruned on one lap and mirrored to the other.  The
-    fold applies when the sample count n is even, sample k + n/2 sits at
-    exactly the negative of sample k for every k (None pairs with None), and
-    samples 0 and n/2 are marked; F(-z) = F(z) makes every lifted curve that
-    covers its preimage once look so.  The greedy then runs over samples
-    0..n/2-1 with cyclic links over n/2, every mark's window folded mod n/2,
-    guards at the postcritical positions of both laps and at their
-    negatives, and a target of ``budget // 2``; lap 1 keeps the same
-    indices.  The isometry (x, y, z) -> (-x, -y, z) gives twins equal
-    deviations, and a twin's sweep clears a guard g exactly when its lap-0
-    sample's sweep clears -g, so this is the greedy that removes twins in
-    pairs.  The marks at 0 and n/2 protect the seam, so the cyclic wrap is
-    never read.  An odd budget prunes a symmetric curve to ``budget - 1``.
-
-    A heap entry whose version is current holds its sample's exact deviation,
-    since a sample's neighbors change only together with its version.  Prune
-    is the costliest layer of a pullback, so the set-up forms each finite
-    sample's sphere point inline, with the operations of
-    :func:`stereographic`.
-    """
-    points = c.points
-    n = len(points)
-    marked = c.marks
-    if budget < len(marked):
-        raise ValueError(f"budget {budget} below the marked-sample count {len(marked)}")
-    if n <= budget:
-        return c
-
-    # the domain of the greedy: lap 0 of a symmetric curve, else all of it
-    m = n // 2
-    if not (
-        n % 2 == 0
-        and 0 in marked
-        and m in marked
-        and all(_neg(a) == b for a, b in zip(points, points[m:]))
-    ):
-        m = n
-    target = budget if m == n else budget // 2
-
-    pts = []
-    for z in points[:m]:
-        # stereographic(z), inline for a finite complex z
-        if type(z) is complex:
-            try:
-                r2 = abs(z) ** 2
-            except OverflowError:
-                r2 = math.inf
-            if r2 < math.inf:
-                q = 1.0 + r2
-                pts.append((2.0 * z.real / q, 2.0 * z.imag / q, (1.0 - r2) / q))
-                continue
-        pts.append(stereographic(z))
-    # folded, a lap-1 guard mirrors its twin's point, and the mirrors of
-    # the guards join them
-    guarded = [
-        pts[i % m] for i, mark in zip(marked, c.schedule.marks) if mark.point_id is not None
-    ]
-    if m < n:
-        guarded += [(-x, -y, z) for x, y, z in guarded]
-    alive = [True] * m
-    prv = [m - 1, *range(m - 1)]
-    nxt = [*range(1, m), 0]
-    version = [0] * m
-    protected = [False] * m
-    for i in marked:
-        for k in range(i - _MARK_WINDOW, i + _MARK_WINDOW + 1):
-            protected[k % m] = True
-
-    # entries (deviation, index, version) are unique by index and version, so
-    # they are totally ordered and the pop order does not depend on how the
-    # heap was built.  Each is pushed once and consumed when popped, and a
-    # removed sample is unlinked, so its version never moves again: an entry
-    # is live exactly when its version is current
-    heap = [
-        (_deviation(pts[prv[i]], pts[i], pts[nxt[i]]), i, 0) for i in range(m) if not protected[i]
-    ]
-    heapq.heapify(heap)
-
-    dist, heappop, heappush = math.dist, heapq.heappop, heapq.heappush
-    count = m
-    while count > target and heap:
-        _, i, ver = heappop(heap)
-        if ver != version[i]:
-            continue
-        a, b = prv[i], nxt[i]
-        pa, pi, pb = pts[a], pts[i], pts[b]
-        # cheap reject: the swept patch stays inside the spherical hull of the
-        # triangle, itself within twice the longest edge from the apex
-        reach = 2.0 * max(dist(pa, pi), dist(pi, pb)) + tol
-        blocked = False
-        for g in guarded:
-            if dist(g, pi) <= reach and _sweep_clearance(g, pa, pi, pb) <= tol:
-                blocked = True
-                break
-        if blocked:
-            continue  # retried once a neighbor is removed
-        alive[i] = False
-        count -= 1
-        nxt[a], prv[b] = b, a
-        for j in (a, b):
-            version[j] += 1
-            if not protected[j]:
-                heappush(heap, (_deviation(pts[prv[j]], pts[j], pts[nxt[j]]), j, version[j]))
-
-    # every mark survives, so the pruned curve carries the same schedule
-    keep = alive * (n // m)
-    # the dropped samples may leave the others a common factor
-    params, den = list(compress(c.params, keep)), c.den
-    g = math.gcd(den, *params)
-    if g > 1:
-        params, den = [t // g for t in params], den // g
-    return DiscreteCurve(tuple(params), den, tuple(compress(points, keep)), c.schedule)
 
 
 # ---------------------------------------------------------------------------

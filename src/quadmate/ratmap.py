@@ -150,16 +150,26 @@ class NormalizedQuadratic:
         return (None, None) if root is None else (root, -root)
 
     def roots(self, ws) -> list[SpherePoint]:
-        """The first of :meth:`preimages` for each point of ``ws``, in one call."""
+        """The first of :meth:`preimages` for each point of ``ws``, in one call.
+
+        A finite w solves ``(d w - b) / (a - c w)`` for z^2 and infinity
+        ``(d - b 0) / (a 0 - c)``, both in the homogeneous form
+        ``(d wn - b wd) / (a wd - c wn)``.  For finite w, ``a wd`` and
+        ``b wd`` (wd = 1 + 0j) are formed once per call: the same products,
+        so the same bits, signed zeros included.
+        """
         a, b, c, d = self.coeffs
+        one = 1.0 + 0.0j
+        a1, b1 = a * one, b * one
         out = []
         isfinite, sqrt = cmath.isfinite, cmath.sqrt
         for w in ws:
             if type(w) is not complex or not isfinite(w):
                 w = as_point(w)
-            wn, wd = (1.0 + 0.0j, 0.0j) if w is None else (w, 1.0 + 0.0j)
-            num = d * wn - b * wd
-            den = a * wd - c * wn
+            if w is None:
+                num, den = d * one - b * 0j, a * 0j - c * one
+            else:
+                num, den = d * w - b1, a1 - c * w
             root = None if den == 0 else sqrt(num / den)
             out.append(root if root is not None and isfinite(root) else None)
         return out

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from quadmate import combinatorics, engine, lamination
+from quadmate import combinatorics, engine, lamination, pruning
 from quadmate.angles import Angle, reduce
 from quadmate.combinatorics import (
     Mark,
@@ -36,6 +36,7 @@ from quadmate.errors import BranchTrackingError, StructuralError
 from quadmate.ratmap import (
     NormalizedQuadratic,
     SpherePoint,
+    as_point,
     chordal,
     from_critical_values,
     stereographic,
@@ -301,7 +302,7 @@ def reference_pullback_curve(
 
 
 def reference_deviation(prev, cur, nxt) -> float:
-    """``engine._deviation`` as it was before it took the tuples apart."""
+    """``pruning._deviation`` as it was before it took the tuples apart."""
     ab = (nxt[0] - prev[0], nxt[1] - prev[1], nxt[2] - prev[2])
     ap = (cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2])
     den = ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2]
@@ -330,7 +331,7 @@ def reference_prune(c, budget, tol):
     protected = [i in c.marks for i in range(n)]
     for i in range(n):
         if i in c.marks:
-            for off in range(1, engine._MARK_WINDOW + 1):
+            for off in range(1, pruning._MARK_WINDOW + 1):
                 protected[(i - off) % n] = True
                 protected[(i + off) % n] = True
     removable = [not protected[i] for i in range(n)]
@@ -351,7 +352,7 @@ def reference_prune(c, budget, tol):
         reach = 2.0 * max(math.dist(pts[a], pts[i]), math.dist(pts[i], pts[b])) + tol
         blocked = any(
             math.dist(g, pts[i]) <= reach
-            and engine._sweep_clearance(g, pts[a], pts[i], pts[b]) <= tol
+            and pruning._sweep_clearance(g, pts[a], pts[i], pts[b]) <= tol
             for g in guarded
         )
         if blocked:
@@ -386,7 +387,7 @@ def reference_folded_prune(c, budget, tol):
     pts = [stereographic(z) for z in c.points]
     marked = list(c.marks)
     guarded = [pts[i] for i, mark in zip(marked, c.schedule.marks) if mark.point_id is not None]
-    w = engine._MARK_WINDOW
+    w = pruning._MARK_WINDOW
     window = {(i + off) % n for i in marked for off in range(-w, w + 1)}
     removable = [k not in window and k + h not in window for k in range(h)]
     prv = [(i - 1) % n for i in range(n)]
@@ -402,7 +403,7 @@ def reference_folded_prune(c, budget, tol):
         reach = 2.0 * max(math.dist(pts[a], pts[i]), math.dist(pts[i], pts[b])) + tol
         return any(
             math.dist(g, pts[i]) <= reach
-            and engine._sweep_clearance(g, pts[a], pts[i], pts[b]) <= tol
+            and pruning._sweep_clearance(g, pts[a], pts[i], pts[b]) <= tol
             for g in guarded
         )
 
@@ -496,6 +497,31 @@ class _StartingAt(NormalizedQuadratic):
     def roots(self, ws):
         plain = super().roots
         return [self.start if w is START else plain((w,))[0] for w in ws]
+
+
+# the parent position whose principal root a _Rooted map sets
+TARGET = 0.3 - 0.7j
+
+
+@dataclass(frozen=True)
+class _Rooted(_StartingAt):
+    """_StartingAt, with ``root`` also the principal root at ``TARGET``.
+
+    A step from ``START`` to ``TARGET`` then chooses between ``root`` and
+    ``-root`` from ``start``, both exactly as given.
+    """
+
+    root: SpherePoint = None
+
+    def roots(self, ws):
+        return [self.root if w == TARGET else z for w, z in zip(ws, super().roots(ws))]
+
+
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved by ``k`` units in the last place."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
 
 
 def _step_outcome(lift_arc, F, z0, z1, den=None):
@@ -792,6 +818,127 @@ class TestLiftOracle:
                 got = _step_outcome(engine._lift_arc, G, START, z1, 16)
                 assert got == _step_outcome(reference_lift_arc, G, START, z1), (prev, z1)
                 assert isinstance(got[0], str) or got[0] == (Angle(0, 1), _bits(prev))
+
+    @staticmethod
+    def _fast_and_full(monkeypatch, F, steps):
+        """Each step ``(prev, root)`` lifted to the bit like the reference; the
+        set of steps that took the full step rather than the fast path."""
+        monkeypatch.setattr(engine, "_MAX_REFINE", 2)
+        full_step, full = engine._lift_step, []
+
+        def recording(F, out, prev, t1, z1, plus):
+            full.append((prev, plus))
+            return full_step(F, out, prev, t1, z1, plus)
+
+        monkeypatch.setattr(engine, "_lift_step", recording)
+        for prev, root in steps:
+            G = _Rooted(F.u, F.v, F.coeffs, prev, root)
+            got = _step_outcome(engine._lift_arc, G, START, TARGET, 16)
+            assert got == _step_outcome(reference_lift_arc, G, START, TARGET), (prev, root)
+        return set(full)
+
+    @pytest.mark.parametrize("uv", STEP_MAPS)
+    def test_knife_edge_ratios_match_the_chordal_reference(self, uv, monkeypatch):
+        # a previous lift s * root or -s * root has the raw distance ratio
+        # (1 - s) / (1 + s) to the candidates; stepped a few ulps either way
+        # around the fast path's margin and around _AMBIGUITY_RATIO, the raw
+        # and the chordal ratio fall on both sides of each
+        F = from_critical_values(*uv)
+        fast, ambiguity = engine._FAST_RATIO, engine._AMBIGUITY_RATIO
+        assert fast < ambiguity
+        steps = []
+        for root in (0.5 + 0.2j, -3 + 7j, 0.05 - 0.02j, 700 - 300j):
+            for ratio in (fast, ambiguity):
+                s = (1 - ratio) / (1 + ratio)
+                for base in (s * root, -s * root):
+                    for k in range(-6, 7):
+                        steps.append((complex(_ulps(base.real, k), base.imag), root))
+                        steps.append((complex(base.real, _ulps(base.imag, k)), root))
+        raw, chordal_ratio = set(), set()
+        for prev, root in steps:
+            dp, dm = abs(root - prev), abs(root + prev)
+            raw.add(min(dp, dm) <= fast * max(dp, dm))
+            cp, cm = chordal(root, prev), chordal(-root, prev)
+            chordal_ratio.add(min(cp, cm) / max(cp, cm) <= ambiguity)
+        assert raw == chordal_ratio == {True, False}
+        full = self._fast_and_full(monkeypatch, F, steps)
+        # the fast path decides exactly the steps whose raw ratio clears the margin
+        for prev, root in steps:
+            dp, dm = abs(root - prev), abs(root + prev)
+            assert ((prev, root) not in full) == (min(dp, dm) <= fast * max(dp, dm))
+
+    @pytest.mark.parametrize("uv", STEP_MAPS)
+    def test_steps_at_the_edges_of_the_fast_annulus(self, uv, monkeypatch):
+        # |prev| or |root| exactly at 1e-3 or 1e3 takes the full step, one ulp
+        # inside may take the fast path; each pairs with points inside, with
+        # itself, and with its negative, where prev = -root
+        F = from_critical_values(*uv)
+        edges = [1e-3 + 0j, -1e-3j, -1e3 + 0j, 1e3j]
+        inside = [complex(_ulps(1e-3, 1), 0.0), complex(0.0, _ulps(1e3, -1))]
+        partners = [0.5 + 0.5j, -2e-3 + 1e-3j, 600 - 100j, *inside]
+        steps = []
+        for z in edges + inside:
+            for w in partners:
+                steps += [(z, w), (w, z), (-z, w), (w, -z)]
+            steps += [(z, z), (-z, z), (z, -z)]
+        for z in partners:
+            steps.append((-z, z))
+        full = self._fast_and_full(monkeypatch, F, steps)
+        for prev, root in steps:
+            if abs(prev) in (1e-3, 1e3) or abs(root) in (1e-3, 1e3):
+                assert (prev, root) in full
+        # prev = -root sits at raw distance 0 from -root: the fast path takes it
+        assert not {(-z, z) for z in partners} & full
+
+
+def reference_roots(F, ws):
+    """``NormalizedQuadratic.roots`` as it was, forming ``a wd`` and ``b wd`` per point."""
+    a, b, c, d = F.coeffs
+    out = []
+    for w in ws:
+        if type(w) is not complex or not cmath.isfinite(w):
+            w = as_point(w)
+        wn, wd = (1.0 + 0.0j, 0.0j) if w is None else (w, 1.0 + 0.0j)
+        num = d * wn - b * wd
+        den = a * wd - c * wn
+        root = None if den == 0 else cmath.sqrt(num / den)
+        out.append(root if root is not None and cmath.isfinite(root) else None)
+    return out
+
+
+def _signed(z):
+    """Both parts of ``z`` with their signs, so that -0.0 and 0.0 differ."""
+    if z is None:
+        return None
+    return tuple((x, math.copysign(1.0, x)) for x in (z.real, z.imag))
+
+
+class TestRoots:
+    @pytest.mark.parametrize(
+        "uv", STEP_MAPS + [(-3.0 + 0j, None), (None, -3.0 + 0j), (-0.5 + 0j, 3.0 + 0j)]
+    )
+    def test_roots_match_the_per_point_form_to_the_sign_of_zero(self, uv):
+        # v = infinity gives c = 0j; a real critical value at infinity's
+        # partner gives b = 3 - 0j, which b * (1 + 0j) turns into 3 + 0j, and
+        # a real w then meets the branch cut with the sign of that zero
+        F = from_critical_values(*uv)
+        zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        ws = zeros + [
+            complex(1.0, -0.0), complex(-0.0, 1.0), complex(-2.0, 0.0), complex(-2.0, -0.0),
+            complex(3.0, 0.0), complex(0.5, -0.0), 0.0, -0.0, 0, 1, -2.5, None,
+            complex(math.inf, 0.0), complex(math.nan, 1.0), 1e300 + 1e300j, 1e-300 - 0.0j,
+        ]
+        for c in (F.u, F.v):
+            if c is not None:
+                ws += [c, c.conjugate(), complex(c.real, -c.imag), -c]
+        rng = random.Random(7)
+        ws += [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(200)]
+        got, want = F.roots(ws), reference_roots(F, ws)
+        assert [_signed(z) for z in got] == [_signed(z) for z in want]
+        # the comparison sees the sign of a zero part, and some root has one
+        assert _signed(0j) != _signed(complex(-0.0, 0.0))
+        assert any(z is not None and 0.0 in (z.real, z.imag) for z in want)
+
 
 def _sample_bits(c):
     """Each sample's parameter and position to the bit, and the marked indices."""
@@ -1113,7 +1260,7 @@ class TestPruneOracle:
     def test_sphere_points_are_stereographic(self, positions):
         # with no marks every sample is removable, so the first heap takes
         # one deviation a sample, in index order, with its sphere point as cur
-        deviation, seen = engine._deviation, []
+        deviation, seen = pruning._deviation, []
 
         def recording(prev, cur, nxt):
             seen.append(cur)
@@ -1121,7 +1268,7 @@ class TestPruneOracle:
 
         c = synthetic_curve(positions, {})
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_deviation", recording)
+            mp.setattr(pruning, "_deviation", recording)
             prune(c, len(positions) - 1, 1e-6)
         got = [tuple(x.hex() for x in p) for p in seen[: len(positions)]]
         assert got == [tuple(x.hex() for x in stereographic(z)) for z in positions]
@@ -1166,7 +1313,7 @@ class TestPruneOracle:
         positions[18:22] = [g + h * (-1 - 1j), g + h * 1j, g + h * (1 - 1j), g + h * (2 + 3j)]
         c = synthetic_curve(positions, {0: 1, 10: None, 29: None})
         pts = [stereographic(z) for z in positions]
-        assert engine._sweep_clearance(pts[0], pts[18], pts[19], pts[20]) <= 1e-6
+        assert pruning._sweep_clearance(pts[0], pts[18], pts[19], pts[20]) <= 1e-6
         assert reference_deviation(pts[18], pts[19], pts[20]) < reference_deviation(
             pts[19], pts[20], pts[21]
         )
@@ -1177,6 +1324,24 @@ class TestPruneOracle:
         out = assert_prunes_like_the_reference(c, 3, 1e-6)
         assert len(out.params) == 38
 
+    def test_a_guard_far_away_in_index_blocks_a_sample(self):
+        # the curve winds once round 0 and comes back past the guard G
+        # (sample 0) half a loop later: B (32) bends the curve least of the
+        # samples outside the mark windows, but sweeps across G, so the first
+        # sample to go is another
+        n, g, h = 64, 0.5 + 0j, 1e-4
+        positions = [0.5 * cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
+        positions[31:34] = [g + h * (-1 + 1j), g - h * 1j, g + h * (1 + 1j)]
+        c = synthetic_curve(positions, {0: 1, 16: None, 48: None})
+        pts = [stereographic(z) for z in positions]
+        assert pruning._sweep_clearance(pts[0], pts[31], pts[32], pts[33]) <= 1e-6
+        bends = {k: reference_deviation(pts[k - 1], pts[k], pts[k + 1]) for k in range(25, 40)}
+        assert min(bends, key=bends.get) == 32
+        for budget in _budgets(c):
+            assert_prunes_like_the_reference(c, budget, 1e-6)
+        one = assert_prunes_like_the_reference(c, n - 1, 1e-6)
+        assert c.param(32) in angles(one)
+
     def test_overlapping_windows_across_index_zero(self):
         # marks at 1 and 45 (their windows overlap across index 0) and at 10
         # and 20 (overlapping); with the budget at the marked count exactly
@@ -1185,7 +1350,7 @@ class TestPruneOracle:
         positions = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
         marks = {1: 1, 10: None, 20: 2, 45: None}
         c = synthetic_curve(positions, marks)
-        w = engine._MARK_WINDOW
+        w = pruning._MARK_WINDOW
         protected = {(i + off) % n for i in marks for off in range(-w, w + 1)}
         for budget in _budgets(c):
             assert_prunes_like_the_reference(c, budget, 1e-6)
@@ -1263,13 +1428,37 @@ class TestFoldedPrune:
         lap0[18:22] = [-g + h * (-1 - 1j), -g + h * 1j, -g + h * (1 - 1j), -g + h * (2 + 3j)]
         c = symmetric_curve(lap0, {0: 1, 10: None, 29: None})
         pts = [stereographic(z) for z in c.points]
-        assert engine._sweep_clearance(pts[0], pts[58], pts[59], pts[60]) <= 1e-6
+        assert pruning._sweep_clearance(pts[0], pts[58], pts[59], pts[60]) <= 1e-6
         assert reference_deviation(pts[18], pts[19], pts[20]) < reference_deviation(
             pts[19], pts[20], pts[21]
         )
         out = prune(c, 78, 1e-6)
         assert out == reference_folded_prune(c, 78, 1e-6)
         assert set(angles(c)) - set(angles(out)) == {c.param(20), c.param(60)}
+
+    def test_guards_sharing_an_x_with_a_sample_block_it(self):
+        # the guard G (sample 0) and its mirror -G each share their sphere x
+        # with a lap-0 sample: B (19) at conj(G) and B' (26) at -conj(G).  B
+        # sweeps across G and B' across -G (so the twin of B' across G): both
+        # stay while two pairs go, and without the guard both go among them
+        g, h = 0.5 + 2e-5j, 3e-4
+        lap0 = [0.7 * cmath.exp(2j * cmath.pi * k / 40) for k in range(40)]
+        lap0[0] = g
+        lap0[18:21] = [g + h * (-1 + 1j), g.conjugate(), g + h * (1 + 1j)]
+        lap0[25:28] = [-g + h * (1 - 1j), -g.conjugate(), -g + h * (-1 - 1j)]
+        c, bare = symmetric_curve(lap0, {0: 1}), symmetric_curve(lap0, {})
+        pts = [stereographic(z) for z in c.points]
+        guard, mirror = pts[0], (-pts[0][0], -pts[0][1], pts[0][2])
+        assert pts[19][0] == guard[0] and pts[26][0] == mirror[0]
+        assert pruning._sweep_clearance(guard, pts[18], pts[19], pts[20]) <= 1e-6
+        assert pruning._sweep_clearance(mirror, pts[25], pts[26], pts[27]) <= 1e-6
+        for budget in (78, 76, 60, 40, len(c.marks)):
+            assert prune(c, budget, 1e-6) == reference_folded_prune(c, budget, 1e-6)
+
+        def kept(curve):
+            return {curve.index(t) for t in angles(prune(curve, 76, 1e-6))}
+
+        assert {19, 26} <= kept(c) and not {19, 26} & kept(bare)
 
     def test_twin_off_by_one_ulp_is_pruned_unfolded(self):
         c = symmetric_curve(self.LAP0, self.MARKS)
