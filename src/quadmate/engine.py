@@ -79,7 +79,7 @@ _COLLAPSE_TOL = 1e-8
 # handedness read decides.  A chain with no postcritical mark scores inf for
 # both signs, and inf <= 0.5 * inf holds, so _arc_signs refuses an infinite
 # score explicitly.  Without that the sign of u flips at the first pullback
-# of (1/10, 19/20).  ROADMAP item 5 plans to score such chains by isotopy.
+# of (1/10, 19/20).  The ROADMAP plans to score such chains by isotopy.
 _ISOTOPY_RATIO = 0.5
 
 # The Newton finish (see iterate and finish) is tried once the
@@ -288,24 +288,18 @@ def _slerp_mid(a: SpherePoint, b: SpherePoint) -> tuple[bool, SpherePoint]:
     return True, from_sphere(tuple(x / n for x in s))
 
 
-def _winding_choice(prev, plus, minus) -> SpherePoint:
+def _winding_choice(prev: complex, plus: complex, minus: complex) -> complex:
     """Branch continuation by the phase of the squared step.
 
     When the lift skims a branch point the two candidates are almost
     equidistant from the previous sample forever, but the square of the lift
     is branch-free, and after exhausted refinement the step is so short that
-    the continuous square root is ``prev * sqrt(z1^2 / prev^2)``.  Returns
-    None when a point is at 0 or infinity or the ratio is not finite.
+    the continuous square root is ``prev * sqrt(plus^2 / prev^2)``.  The step
+    reaches this rule only past its tests at 0, at infinity and for meeting
+    candidates, so 5e-10 < |prev| < 2e9 and 2.5e-13 < |plus| < 4e12: both
+    squares and their quotient are finite and nonzero.
     """
-    if prev is None or plus is None or minus is None:
-        return None
-    z0_sq, z1_sq = prev * prev, plus * plus
-    if z0_sq == 0 or z1_sq == 0 or not (cmath.isfinite(z0_sq) and cmath.isfinite(z1_sq)):
-        return None
-    r = z1_sq / z0_sq
-    if r == 0 or not cmath.isfinite(r):
-        return None
-    w = prev * cmath.sqrt(r)
+    w = prev * cmath.sqrt((plus * plus) / (prev * prev))
     return plus if abs(plus - w) <= abs(minus - w) else minus
 
 
@@ -323,10 +317,10 @@ def _lift_arc(
 
     Each step takes the candidate, ``root`` or ``-root``, nearer the previous
     lifted point; when the two are close to equidistant, the spherical
-    midpoint of the parent step is lifted first, nested up to ``_MAX_REFINE``
-    deep, and stays in the output.  Parameters are integers over one
-    denominator; a failed step raises :class:`BranchTrackingError` with its
-    parameter's numerator.
+    midpoint of the parent step is lifted first, recursively up to
+    ``_MAX_REFINE`` deep and then by the winding rule, and stays in the
+    output.  Parameters are integers over one denominator; a failed step
+    raises :class:`BranchTrackingError` with its parameter's numerator.
 
     Most steps take a fast path that makes the same choice as the full step
     (:func:`_lift_step`).  When ``root`` and the previous point both lie in
@@ -376,62 +370,43 @@ def _lift_step(
 ) -> SpherePoint:
     """The full lift step from ``out[-1]``, the lift ``prev``, to ``z1`` at ``t1``.
 
-    Appends the lifted samples, refined ones first, and returns the last.
-    The candidates are exact negatives, so their chordal distances to the
-    previous point share one denominator.  They are formed once, as the
-    same quotients in the same order that ``chordal`` forms, so they are
-    bit-identical to it; a point at infinity, or a difference, square or
-    product that overflows, goes through ``chordal`` itself.
+    ``plus`` is the principal root over ``z1``.  Appends the lifted samples,
+    refined ones first, and returns the last: an ambiguous step lifts the
+    midpoint of its parent step, then the rest, by recursion one level deeper
+    each, up to ``_MAX_REFINE`` levels, past which :func:`_winding_choice` decides.
     """
-    inf = math.inf
-    t0 = out[-1][0]
-    # steps still to take, the next one last: (parameter, parent position,
-    # principal root, refinements left)
-    todo: list[tuple[int, SpherePoint, SpherePoint, int]] = [(t1, z1, plus, _MAX_REFINE)]
-    while todo:
-        t1, z1, plus, depth = todo.pop()
-        minus = None if plus is None else -plus
-        if plus is not None and prev is not None:
-            split, r = abs(plus - minus), abs(prev)
-            dp, dm = abs(plus - prev), abs(minus - prev)
-            pp = 1.0 + plus.real * plus.real + plus.imag * plus.imag
-            qq = 1.0 + prev.real * prev.real + prev.imag * prev.imag
-            p2, pq = pp * pp, pp * qq
-        if plus is None or prev is None or not split + dp + dm + r * r + p2 + pq < inf:
-            split = chordal(plus, minus)
-            at_zero, at_inf = chordal(prev, 0.0 + 0.0j), chordal(prev, None)
-            dp, dm = chordal(plus, prev), chordal(minus, prev)
-        else:
-            den = pq ** 0.5
-            split = 2.0 * split / p2 ** 0.5
-            at_zero, at_inf = 2.0 * r / qq ** 0.5, 2.0 / (1.0 + r**2) ** 0.5
-            dp, dm = 2.0 * dp / den, 2.0 * dm / den
-        near, far = (dp, dm) if dp <= dm else (dm, dp)
-        if split < 1e-12 or at_zero < 1e-9 or at_inf < 1e-9:
+
+    def step(t0: int, prev: SpherePoint, t1: int, z1: SpherePoint, plus: SpherePoint,
+             depth: int) -> SpherePoint:
+        minus = _neg(plus)
+        if (chordal(plus, minus) < 1e-12 or chordal(prev, 0.0 + 0.0j) < 1e-9
+                or chordal(prev, None) < 1e-9):
             # a critical-value passage, where the two branches meet, or a step
             # leaving a critical point, where both continuations are
             # equidistant and the stitcher's sign choice overrides this one
-            prev = plus
-        elif far > 0 and near / far <= _AMBIGUITY_RATIO:
-            prev = plus if dp <= dm else minus
-        elif depth == 0:
-            # refinement exhausted: a skim past a branch point keeps the ratio
-            # ambiguous at every scale, but the winding rule still resolves it;
-            # the step is tiny by now, so its phase is trusted outright
-            prev = _winding_choice(prev, plus, minus)
-            if prev is None:
-                raise BranchTrackingError(t1)
+            chosen = plus
         else:
-            # bisect against the parent position at t0, reconstructed
-            ok, zm = _slerp_mid(F.eval(prev), z1)
-            if not ok:
-                raise BranchTrackingError(t1)
-            todo.append((t1, z1, plus, depth - 1))
-            todo.append((_mid(t0, t1), zm, F.preimages(zm)[0], depth - 1))
-            continue
-        out.append((t1, prev))
-        t0 = t1
-    return prev
+            dp, dm = chordal(plus, prev), chordal(minus, prev)
+            near, far = (dp, dm) if dp <= dm else (dm, dp)
+            if far > 0 and near / far <= _AMBIGUITY_RATIO:
+                chosen = plus if dp <= dm else minus
+            elif depth == 0:
+                # refinement exhausted: a skim past a branch point keeps the
+                # ratio ambiguous at every scale, but the winding rule still
+                # resolves it; the step is tiny by now, so its phase is trusted
+                chosen = _winding_choice(prev, plus, minus)
+            else:
+                # bisect against the parent position at t0, reconstructed
+                ok, zm = _slerp_mid(F.eval(prev), z1)
+                if not ok:
+                    raise BranchTrackingError(t1)
+                tm = _mid(t0, t1)
+                mid = step(t0, prev, tm, zm, F.preimages(zm)[0], depth - 1)
+                return step(tm, mid, t1, z1, plus, depth - 1)
+        out.append((t1, chosen))
+        return chosen
+
+    return step(out[-1][0], prev, t1, z1, plus, _MAX_REFINE)
 
 
 def _densify(
@@ -862,7 +837,7 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
         last = math.inf
         n = 0
         while n < opts.max_iters:
-            steps = None
+            steps = collided = None
             if (
                 (falls >= _FINISH_FALLS or stale >= _FINISH_STALE)
                 and opts.tol > 0
@@ -875,24 +850,19 @@ def iterate(alpha: Angle, beta: Angle, opts: IterateOptions = IterateOptions(), 
                 curve, before = _pullback(curve, opts.budget)
                 u1, v1 = read_critical_values(curve)
                 collided = _collision(relabel(curve))
-                if collided is not None:
-                    report.records.append(
-                        IterationRecord(n, u1, v1, before, len(curve.params), None)
-                    )
-                    if curve_hook is not None:
-                        curve_hook(curve)
-                    report.status = "diverged"
-                    report.message = (
-                        f"postcritical points {collided[0]} and {collided[1]} collided: "
-                        "the embedding degenerated instead of converging"
-                    )
-                    break
-                inc = chordal(u, u1) + chordal(v, v1)
+                inc = None if collided is not None else chordal(u, u1) + chordal(v, v1)
                 steps = [(IterationRecord(n, u1, v1, before, len(curve.params), inc), curve)]
             for rec, c in steps:
                 report.records.append(rec)
                 if curve_hook is not None:
                     curve_hook(c)
+            if collided is not None:
+                report.status = "diverged"
+                report.message = (
+                    f"postcritical points {collided[0]} and {collided[1]} collided: "
+                    "the embedding degenerated instead of converging"
+                )
+                break
             rec, curve = steps[-1]
             n, u, v, inc = rec.n, rec.u, rec.v, rec.increment
             if inc < opts.tol:

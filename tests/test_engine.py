@@ -109,8 +109,6 @@ def reference_lift_step(F, out, t0, prev, t1, z1, depth):
         return chosen
     if depth == 0:
         chosen = engine._winding_choice(prev, plus, minus)
-        if chosen is None:
-            raise BranchTrackingError(t1)
         out.append((t1, chosen))
         return chosen
     ok, zm = engine._slerp_mid(F.eval(prev), z1)
@@ -777,6 +775,47 @@ class TestLiftOracle:
             assert len(out) == len(want)
             for (t, p), (rt, rp) in zip(out, want):
                 assert reduce(t, den) == rt and p == rp
+
+    @pytest.mark.parametrize(
+        "alpha,beta,fired,converged_at",
+        # under the default options, steps of these runs' confirming pullbacks
+        # stay ambiguous through all _MAX_REFINE refinements
+        [("11/16", "1/4", 2, 7), ("1/12", "23/24", 1, 8)],
+    )
+    def test_the_winding_rule_decides_at_the_refinement_cap(
+        self, alpha, beta, fired, converged_at, monkeypatch
+    ):
+        lift_arc, pullback, winding = engine._lift_arc, engine.pullback_curve, engine._winding_choice
+        calls, arcs, dens = [], [], []
+
+        def counting(prev, plus, minus):
+            calls.append((prev, winding(prev, plus, minus)))
+            return calls[-1][1]
+
+        def recording(F, entries):
+            before = len(calls)
+            out = lift_arc(F, entries)
+            arcs.append((F, dens[-1], entries, out, len(calls) - before))
+            return out
+
+        def pulling(c, F, s_next):
+            dens.append(c.den << (engine._PARAM_BITS + 1))
+            return pullback(c, F, s_next)
+
+        monkeypatch.setattr(engine, "_winding_choice", counting)
+        monkeypatch.setattr(engine, "_lift_arc", recording)
+        monkeypatch.setattr(engine, "pullback_curve", pulling)
+        report = iterate(Angle.parse(alpha), Angle.parse(beta))
+        assert report.status == "converged" and report.records[-1].n == converged_at
+        assert sum(n for *_, n in arcs) == fired
+        # the continuous square root turns by less than a quarter turn
+        assert all((chosen / prev).real > 0 for prev, chosen in calls)
+        for F, den, entries, out, n in arcs:
+            # the reference reaches the cap, and asks the rule, where the lift did
+            before = len(calls)
+            want = reference_lift_arc(F, [(reduce(t, den), z) for t, z in entries])
+            assert len(calls) - before == n
+            assert [(reduce(t, den), p) for t, p in out] == want
 
     @pytest.mark.parametrize("radius", [0.2, 1.0, 5.0])
     def test_refined_steps_match_the_chordal_reference(self, radius):
