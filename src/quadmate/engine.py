@@ -25,7 +25,6 @@ passes.  A refused finish leaves the pullback to continue unchanged.
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, replace
@@ -62,6 +61,7 @@ _AMBIGUITY_RATIO = 0.8
 # ratio is the raw one times at most five roundings (1 + 2^-53 each), so it
 # then stays at or below _AMBIGUITY_RATIO
 _FAST_RATIO = _AMBIGUITY_RATIO * (1 - 2.0**-50)
+# refinements of an ambiguous lift step, past which the nearer candidate wins
 _MAX_REFINE = 48
 _DENSIFY_STEPS = 8  # samples _densify adds toward each critical passage
 _PARAM_BITS = _MAX_REFINE + _DENSIFY_STEPS  # the most halvings of one lifted parent step
@@ -288,21 +288,6 @@ def _slerp_mid(a: SpherePoint, b: SpherePoint) -> tuple[bool, SpherePoint]:
     return True, from_sphere(tuple(x / n for x in s))
 
 
-def _winding_choice(prev: complex, plus: complex, minus: complex) -> complex:
-    """Branch continuation by the phase of the squared step.
-
-    When the lift skims a branch point the two candidates are almost
-    equidistant from the previous sample forever, but the square of the lift
-    is branch-free, and after exhausted refinement the step is so short that
-    the continuous square root is ``prev * sqrt(plus^2 / prev^2)``.  The step
-    reaches this rule only past its tests at 0, at infinity and for meeting
-    candidates, so 5e-10 < |prev| < 2e9 and 2.5e-13 < |plus| < 4e12: both
-    squares and their quotient are finite and nonzero.
-    """
-    w = prev * cmath.sqrt((plus * plus) / (prev * prev))
-    return plus if abs(plus - w) <= abs(minus - w) else minus
-
-
 def _mid(t0: int, t1: int) -> int:
     """The parameter halfway between two child parameters (see pullback_curve)."""
     if (t0 + t1) & 1:
@@ -315,12 +300,12 @@ def _lift_arc(
 ) -> list[tuple[int, SpherePoint]]:
     """One continuous lift of an arc, anchored at the principal root.
 
-    Each step takes the candidate, ``root`` or ``-root``, nearer the previous
-    lifted point; when the two are close to equidistant, the spherical
-    midpoint of the parent step is lifted first, recursively up to
-    ``_MAX_REFINE`` deep and then by the winding rule, and stays in the
-    output.  Parameters are integers over one denominator; a failed step
-    raises :class:`BranchTrackingError` with its parameter's numerator.
+    Each step takes the candidate, ``root`` or ``-root``, chordally nearer
+    the previous lifted point, ``root`` on a tie; when the two are close to
+    equidistant, the spherical midpoint of the parent step is lifted first,
+    recursively up to ``_MAX_REFINE`` deep, and stays in the output.
+    Parameters are integers over one denominator; a failed step raises
+    :class:`BranchTrackingError` with its parameter's numerator.
 
     Most steps take a fast path that makes the same choice as the full step
     (:func:`_lift_step`).  When ``root`` and the previous point both lie in
@@ -373,7 +358,9 @@ def _lift_step(
     ``plus`` is the principal root over ``z1``.  Appends the lifted samples,
     refined ones first, and returns the last: an ambiguous step lifts the
     midpoint of its parent step, then the rest, by recursion one level deeper
-    each, up to ``_MAX_REFINE`` levels, past which :func:`_winding_choice` decides.
+    each, up to ``_MAX_REFINE`` levels.  A decided step, one still ambiguous
+    at that depth included, takes the chordally nearer candidate, ``plus`` on
+    a tie.
     """
 
     def step(t0: int, prev: SpherePoint, t1: int, z1: SpherePoint, plus: SpherePoint,
@@ -388,13 +375,9 @@ def _lift_step(
         else:
             dp, dm = chordal(plus, prev), chordal(minus, prev)
             near, far = (dp, dm) if dp <= dm else (dm, dp)
-            if far > 0 and near / far <= _AMBIGUITY_RATIO:
+            # a skim past a branch point stays ambiguous at every depth
+            if depth == 0 or far > 0 and near / far <= _AMBIGUITY_RATIO:
                 chosen = plus if dp <= dm else minus
-            elif depth == 0:
-                # refinement exhausted: a skim past a branch point keeps the
-                # ratio ambiguous at every scale, but the winding rule still
-                # resolves it; the step is tiny by now, so its phase is trusted
-                chosen = _winding_choice(prev, plus, minus)
             else:
                 # bisect against the parent position at t0, reconstructed
                 ok, zm = _slerp_mid(F.eval(prev), z1)

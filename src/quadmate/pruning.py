@@ -130,11 +130,9 @@ def prune(c, budget: int, tol: float):
 
     A heap entry whose version is current holds its sample's exact deviation,
     since a sample's neighbors change only together with its version.  Prune
-    is the costliest layer of a pullback, so the set-up forms each finite
-    sample's sphere point inline, with the operations of
-    :func:`stereographic`; the guards are sorted by x, and a removal tests
-    only those whose x lies within its reach of the sample's (``math.dist``
-    is at least |dx|), found by bisection.
+    is the costliest layer of a pullback, so the guards are sorted by x,
+    and a removal tests only those whose x lies within its reach of the
+    sample's (``math.dist`` is at least |dx|), found by bisection.
     """
     points = c.points
     n = len(points)
@@ -154,19 +152,7 @@ def prune(c, budget: int, tol: float):
     ):
         m = n
     target = budget if m == n else budget // 2
-    pts = []
-    for z in islice(points, m):
-        # stereographic(z), inline for a finite complex z
-        if type(z) is complex:
-            try:
-                r2 = abs(z) ** 2
-            except OverflowError:
-                r2 = math.inf
-            if r2 < math.inf:
-                q = 1.0 + r2
-                pts.append((2.0 * z.real / q, 2.0 * z.imag / q, (1.0 - r2) / q))
-                continue
-        pts.append(stereographic(z))
+    pts = [stereographic(z) for z in islice(points, m)]
     # folded, a lap-1 guard mirrors its twin's point, and the mirrors of
     # the guards join them.  Sorted by x, so a removal tests only the guards
     # whose x lies within its reach (math.dist is at least |dx|), widened by

@@ -66,9 +66,20 @@ def chordal(a: SpherePoint, b: SpherePoint) -> float:
 
 
 def stereographic(z: SpherePoint) -> tuple[float, float, float]:
-    """Embed onto the unit sphere: 0 at the north pole, infinity at the south."""
-    z, n = _on_sphere(z)
-    if z is None:
+    """Embed onto the unit sphere: 0 at the north pole, infinity at the south.
+
+    A ``complex``, the common case in ``prune``, skips
+    :func:`as_point`: |z|^2 is ``abs(z) ** 2`` as in :func:`_on_sphere`, and
+    it is finite only for a finite point below the overflow bound.
+    """
+    if type(z) is complex:
+        try:
+            n = abs(z) ** 2
+        except OverflowError:
+            n = cmath.inf
+    else:
+        z, n = _on_sphere(z)
+    if not n < cmath.inf:
         return (0.0, 0.0, -1.0)
     s = 1.0 + n
     return (2.0 * z.real / s, 2.0 * z.imag / s, (1.0 - n) / s)

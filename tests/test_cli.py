@@ -84,6 +84,15 @@ class TestSchedule:
     def test_negative_level_rejected(self, capsys):
         assert main(["schedule", "1/4", "1/8", "--level", "-1"]) == EXIT_USAGE
 
+    def test_identified_critical_values_are_a_structural_error(self, capsys):
+        assert main(["schedule", "1/2", "1/2"]) == EXIT_STRUCTURAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "structural error: critical values identified: "
+            "both critical values sit at curve parameter 1/2\n"
+        )
+
     def test_level_past_the_mark_cap_refused(self, capsys):
         # 5 * 2^64 marks: refused before a single doubling
         assert main(["schedule", "1/4", "1/8", "--level", "64"]) == EXIT_USAGE
@@ -145,6 +154,13 @@ class TestMate:
         assert "final u = 0 + 1i" in out
         assert "final v = 0 - 1i" in out
         assert "run-id:" in out
+
+    def test_critical_value_at_infinity_printed(self, capsys):
+        # from pullback 1 on, u sits at infinity
+        assert main(["mate", "5/8", "3/4", "--iters", "40"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "status: converged after 9 iterations" in out
+        assert "final u = inf\n" in out
 
     def test_structural_failure_exit(self, capsys):
         assert main(["mate", "1/4", "3/4"]) == EXIT_STRUCTURAL
@@ -301,6 +317,19 @@ class TestMate:
         out = capsys.readouterr().out
         assert "status: diverged" in out
         assert "collided" in out
+
+    def test_divergence_message_in_the_report(self, tmp_path, capsys):
+        args = ["mate", "1/10", "19/20", "--iters", "20", "--dump", str(tmp_path)]
+        assert main(args) == EXIT_NUMERIC
+        message = (
+            "postcritical points 2 and 5 collided: "
+            "the embedding degenerated instead of converging"
+        )
+        assert f"detail: {message}\n" in capsys.readouterr().out
+        (run_dir,) = list(tmp_path.iterdir())
+        report = (run_dir / "report.txt").read_text().splitlines()
+        assert "status diverged" in report
+        assert f"message {message}" in report
 
     def test_normalization_miss_is_a_numeric_failure(self, capsys):
         # the gates accept (7/8, 25/32); its map misses the normalization

@@ -92,8 +92,12 @@ def midpoint(a: Angle, b: Angle) -> Angle:
     return reduce(2 * na + step, 2 * d)
 
 
-def reference_lift_step(F, out, t0, prev, t1, z1, depth):
-    """One step of ``engine._lift_arc``'s decision, recursive and with ``chordal`` throughout."""
+def reference_lift_step(F, out, t0, prev, t1, z1, depth, caps=None):
+    """One step of ``engine._lift_arc``'s decision, recursive and with ``chordal`` throughout.
+
+    Each step still ambiguous past the last refinement appends ``(prev,
+    chosen)`` to ``caps`` when it is given.
+    """
     plus, minus = F.preimages(z1)
     if chordal(plus, minus) < 1e-12:
         out.append((t1, plus))
@@ -108,23 +112,26 @@ def reference_lift_step(F, out, t0, prev, t1, z1, depth):
         out.append((t1, chosen))
         return chosen
     if depth == 0:
-        chosen = engine._winding_choice(prev, plus, minus)
+        # refinement exhausted: the nearer candidate all the same, plus on a tie
+        chosen = plus if dp <= dm else minus
+        if caps is not None:
+            caps.append((prev, chosen))
         out.append((t1, chosen))
         return chosen
     ok, zm = engine._slerp_mid(F.eval(prev), z1)
     if not ok:
         raise BranchTrackingError(t1)
     tm = midpoint(t0, t1)
-    mid = reference_lift_step(F, out, t0, prev, tm, zm, depth - 1)
-    return reference_lift_step(F, out, tm, mid, t1, z1, depth - 1)
+    mid = reference_lift_step(F, out, t0, prev, tm, zm, depth - 1, caps)
+    return reference_lift_step(F, out, tm, mid, t1, z1, depth - 1, caps)
 
 
-def reference_lift_arc(F, entries):
-    """``engine._lift_arc`` over angle parameters."""
+def reference_lift_arc(F, entries, caps=None):
+    """``engine._lift_arc`` over angle parameters; ``caps`` as in :func:`reference_lift_step`."""
     t0, z0 = entries[0]
     out = [(t0, F.preimages(z0)[0])]
     for t1, z1 in entries[1:]:
-        reference_lift_step(F, out, out[-1][0], out[-1][1], t1, z1, engine._MAX_REFINE)
+        reference_lift_step(F, out, out[-1][0], out[-1][1], t1, z1, engine._MAX_REFINE, caps)
     return out
 
 
@@ -515,6 +522,16 @@ class _Rooted(_StartingAt):
         return [self.root if w == TARGET else z for w, z in zip(ws, super().roots(ws))]
 
 
+@dataclass(frozen=True)
+class _Tied(_StartingAt):
+    """_StartingAt, with ``root`` the principal root of every other point."""
+
+    root: SpherePoint = None
+
+    def roots(self, ws):
+        return [self.start if w is START else self.root for w in ws]
+
+
 def _ulps(x: float, k: int) -> float:
     """``x`` moved by ``k`` units in the last place."""
     for _ in range(abs(k)):
@@ -782,40 +799,52 @@ class TestLiftOracle:
         # stay ambiguous through all _MAX_REFINE refinements
         [("11/16", "1/4", 2, 7), ("1/12", "23/24", 1, 8)],
     )
-    def test_the_winding_rule_decides_at_the_refinement_cap(
+    def test_the_nearer_rule_decides_at_the_refinement_cap(
         self, alpha, beta, fired, converged_at, monkeypatch
     ):
-        lift_arc, pullback, winding = engine._lift_arc, engine.pullback_curve, engine._winding_choice
-        calls, arcs, dens = [], [], []
-
-        def counting(prev, plus, minus):
-            calls.append((prev, winding(prev, plus, minus)))
-            return calls[-1][1]
+        lift_arc, pullback = engine._lift_arc, engine.pullback_curve
+        arcs, dens = [], []
 
         def recording(F, entries):
-            before = len(calls)
             out = lift_arc(F, entries)
-            arcs.append((F, dens[-1], entries, out, len(calls) - before))
+            arcs.append((F, dens[-1], entries, out))
             return out
 
         def pulling(c, F, s_next):
             dens.append(c.den << (engine._PARAM_BITS + 1))
             return pullback(c, F, s_next)
 
-        monkeypatch.setattr(engine, "_winding_choice", counting)
         monkeypatch.setattr(engine, "_lift_arc", recording)
         monkeypatch.setattr(engine, "pullback_curve", pulling)
         report = iterate(Angle.parse(alpha), Angle.parse(beta))
         assert report.status == "converged" and report.records[-1].n == converged_at
-        assert sum(n for *_, n in arcs) == fired
-        # the continuous square root turns by less than a quarter turn
-        assert all((chosen / prev).real > 0 for prev, chosen in calls)
-        for F, den, entries, out, n in arcs:
-            # the reference reaches the cap, and asks the rule, where the lift did
-            before = len(calls)
-            want = reference_lift_arc(F, [(reduce(t, den), z) for t, z in entries])
-            assert len(calls) - before == n
+        caps = []
+        for F, den, entries, out in arcs:
+            want = reference_lift_arc(F, [(reduce(t, den), z) for t, z in entries], caps)
             assert [(reduce(t, den), p) for t, p in out] == want
+        assert len(caps) == fired
+        # the nearer candidate turns by less than a quarter turn
+        assert all((chosen / prev).real > 0 for prev, chosen in caps)
+
+    def test_an_exact_tie_at_the_refinement_cap_takes_plus(self):
+        # plus = -i prev with prev on a diagonal, as at a cap step of
+        # (9/32, 9/32): both candidates sit a quarter turn from prev, at
+        # equal chordal distances, and every midpoint's root is plus again,
+        # so the first half of the step ties at every depth.  A rule by the
+        # phase of the squared step, (plus / prev)^2 = -1 + 0j, would take minus
+        prev, plus = 0.5 - 0.5j, -0.5 - 0.5j
+        assert plus == -1j * prev and chordal(plus, prev) == chordal(-plus, prev)
+        F = from_critical_values(*STEP_MAPS[0])
+        G = _Tied(F.u, F.v, F.coeffs, prev, plus)
+        got = _step_outcome(engine._lift_arc, G, START, TARGET, 4 << engine._MAX_REFINE)
+        caps = []
+        assert got == _step_outcome(
+            lambda F, entries: reference_lift_arc(F, entries, caps), G, START, TARGET
+        )
+        assert caps == [(prev, plus)]
+        # the refined samples, one per level, then the step's own
+        assert got[0] == (Angle(0, 1), _bits(prev))
+        assert [p for _, p in got[1:]] == [_bits(plus)] * (engine._MAX_REFINE + 1)
 
     @pytest.mark.parametrize("radius", [0.2, 1.0, 5.0])
     def test_refined_steps_match_the_chordal_reference(self, radius):
@@ -841,7 +870,7 @@ class TestLiftOracle:
         # crossing the thresholds at 0 and infinity at every scale; the
         # targets hit, or come within roundoff of, both critical values,
         # where the candidates meet or overflow to infinity.  Two refinements
-        # at most, so an ambiguous step soon meets the winding rule
+        # at most, so an ambiguous step soon reaches the cap
         monkeypatch.setattr(engine, "_MAX_REFINE", 2)
         F = from_critical_values(*uv)
         targets = [None, 0j, 1 + 0j, -2 + 3j, 1e150j, 1e-150 + 0j]
@@ -1598,6 +1627,16 @@ class TestIterate:
         # the marked count itself is a budget
         opts = IterateOptions(max_iters=1, tol=0.0, samples_per_arc=2, budget=10)
         assert iterate(A14, A18, opts).status == "max-iterations"
+
+    def test_no_progress_for_twenty_records_diverges(self):
+        # a gate-accepted pair: its step falls to 3.277e-02 at record 15, and
+        # the next 20 records, none of them finished, stay above that
+        report = iterate(reduce(7, 32), A18, IterateOptions(max_iters=40))
+        assert report.status == "diverged" and report.records[-1].n == 35
+        assert report.message == "no progress below 3.277e-02 for 20 consecutive iterations"
+        increments = [rec.increment for rec in report.records[1:]]
+        assert min(increments) == increments[14]
+        assert {rec.phase for rec in report.records} == {"pullback"}
 
     def test_normalization_miss_is_a_numeric_failure(self):
         # a gate-accepted pair: the map of record 18 fails the normalization
